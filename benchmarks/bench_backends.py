@@ -1,4 +1,4 @@
-"""Dense vs. sparse vs. batched backend benchmark — JSON artefact writer.
+"""Dense vs. sparse vs. batched RHS benchmark — JSON artefact writer.
 
 Measures the three claims of the backend layer:
 
@@ -19,8 +19,8 @@ Measures the three claims of the backend layer:
    ~1e5-rank torus, built edge-native so no dense matrix is ever
    materialised): one single-state and one 8-member batched RHS
    evaluation under each available coupling kernel (``numpy`` vs.
-   ``tiled`` vs. the fused compiled ``cc``/``numba``), reported as
-   speedups over the ``numpy`` kernel.
+   ``tiled`` vs. the fused compiled ``cc``), reported as speedups over
+   the ``numpy`` kernel.  A single state is an R=1 stack.
 
 Run directly (no pytest needed)::
 
@@ -43,7 +43,7 @@ from statistics import median
 import numpy as np
 
 from repro import kernels
-from repro.backends import BatchedBackend, make_backend
+from repro.backends import make_batched_backend
 from repro.core import (
     GaussianJitter,
     PhysicalOscillatorModel,
@@ -112,7 +112,7 @@ def bench_batched_rhs(n: int, r: int, repeats: int) -> dict:
         local_noise=GaussianJitter(std=0.02, refresh=0.5))
     members = [model.realize(10.0, rng=s, backend="sparse")
                for s in range(r)]
-    stacked = BatchedBackend(members)
+    stacked = make_batched_backend(members, "sparse")
     thetas = np.random.default_rng(1).normal(0.0, 1.0, (r, n))
 
     ref = np.stack([m.rhs(0.0, thetas[i]) for i, m in enumerate(members)])
@@ -157,8 +157,6 @@ def bench_ensemble(n: int, r: int, t_end: float, repeats: int) -> dict:
 def _ladder_kernels() -> list[str]:
     """Kernels to compare: numpy/tiled always, plus what's available."""
     names = ["numpy", "tiled"]
-    if kernels.numba_available():
-        names.append("numba")
     if kernels.cc_available():
         names.append("cc")
     return names
@@ -176,7 +174,7 @@ def bench_kernel_case(topology, r: int, repeats: int) -> dict:
         topology=topology, potential=TanhPotential(),
         t_comp=0.9, t_comm=0.1)
     n = topology.n
-    theta = np.random.default_rng(0).normal(0.0, 1.0, n)
+    theta = np.random.default_rng(0).normal(0.0, 1.0, (1, n))
     thetas = np.random.default_rng(1).normal(0.0, 1.0, (r, n))
     members = [model.realize(10.0, rng=s, backend="sparse")
                for s in range(r)]
@@ -193,9 +191,9 @@ def bench_kernel_case(topology, r: int, repeats: int) -> dict:
     ref_single = ref_batched = None
     backends = {}
     for name in _ladder_kernels():
-        single = make_backend(model.realize(10.0, rng=0, backend="sparse"),
-                              "sparse", kernel=name)
-        stacked = BatchedBackend(members, kernel=name)
+        single = make_batched_backend([model.realize(10.0, rng=0)],
+                                      "sparse", kernel=name)
+        stacked = make_batched_backend(members, "sparse", kernel=name)
         # Warm up (first compiled call may JIT/load) + correctness guard.
         s_val = single.coupling(0.0, theta)
         b_val = stacked.coupling(0.0, thetas)

@@ -13,8 +13,9 @@ Packages
     scalable/bottlenecked interaction potentials, sparse communication
     topologies, the beta*kappa coupling rule, and both noise channels.
 :mod:`repro.backends`
-    Pluggable RHS compute backends: dense-matrix reference, O(E)
-    sparse edge-list kernels, and batched ensemble evaluation.
+    The stacked RHS backend every solve runs through (one run, a seed
+    ensemble or a grid as an ``(R, N)`` super-state): O(E) edge-list
+    kernels, with the dense-matrix reference as an alternative.
 :mod:`repro.integrate`
     From-scratch ODE/SDE/DDE solvers (Dormand-Prince 5(4), RK4, Euler,
     Euler-Maruyama, delay-history buffers); shape-agnostic, so whole

@@ -1,43 +1,30 @@
-"""Pluggable RHS compute backends for the oscillator model.
+"""RHS compute backends for the oscillator model.
 
-A backend compiles a frozen :class:`~repro.core.model.RealizedModel`
-into an evaluator of the Eq. 2 right-hand side.  Three implementations:
+A backend compiles a stack of frozen
+:class:`~repro.core.model.RealizedModel` members into an evaluator of
+the Eq. 2 right-hand side over an ``(R, N)`` super-state.  Every solve
+goes through one: a single run is a stack of ``R = 1``, a seed ensemble
+or a parameter grid a stack of ``R > 1``.  Two implementations:
 
-* :class:`DenseBackend` — the O(N^2) dense-matrix reference (the
-  behaviour of the original implementation and of the paper's MATLAB
-  artifact); optimal for genuinely dense topologies.
-* :class:`SparseBackend` — O(E) edge-list kernel; evaluates the
-  potential only on actual edges and accumulates with a segment sum.
-  Orders of magnitude faster for the paper's nearest-neighbour
-  topologies at scale.
-* :class:`BatchedBackend` — evaluates R stacked realisations ``(R, N)``
-  in one vectorised call so a whole seed ensemble integrates as a
-  single super-state (used by ``run_ensemble(batched=True)``).
-* :class:`HeteroBatchedBackend` — the heterogeneous generalisation:
-  members may differ in ``v_p``, period, potential, and delay schedule
-  (only the topology is shared), so a whole *parameter grid* integrates
-  as one super-state (used by ``grid_sweep(..., batched=True)`` and
-  :func:`repro.core.simulation.simulate_grid`).
+* :class:`HeteroBatchedBackend` (``"sparse"``) — the O(E) edge-list
+  backend; evaluates the potential only on actual edges and accumulates
+  with a segment sum.  Members may differ in everything but ``N``.  The
+  inner loop is a selectable *kernel* (``kernel=`` knob: ``"auto"`` |
+  ``"numpy"`` | ``"tiled"`` | ``"cc"``, see :mod:`repro.kernels`).
+* :class:`DenseBackend` (``"dense"``) — the O(N^2) dense-matrix
+  reference (the behaviour of the paper's MATLAB artifact); optimal for
+  genuinely dense topologies.  It only replaces the coupling term.
 
 Selection
 ---------
-``make_backend(realized, "auto")`` picks by topology density: the
-edge-list kernel wins whenever fewer than ``SPARSE_DENSITY_THRESHOLD``
-of the matrix entries are edges.  ``"dense"`` / ``"sparse"`` force a
-choice (the declarative knob is ``PhysicalOscillatorModel.backend``, and
+``make_batched_backend(members, "auto")`` picks by topology density: the
+edge-list backend wins whenever fewer than ``SPARSE_DENSITY_THRESHOLD``
+of the matrix entries are edges, and whenever an explicit kernel or
+thread count asks for it.  ``"dense"`` / ``"sparse"`` force a choice
+(the declarative knob is ``PhysicalOscillatorModel.backend``, and
 ``simulate(..., backend=...)`` / ``pom model --backend`` override it per
-run).
-
-Batched (multi-member) backends have their own registry:
-``make_batched_backend(members, "auto")`` picks the strict homogeneous
-:class:`BatchedBackend` when all members realise one declarative model
-and falls back to :class:`HeteroBatchedBackend` otherwise.
-
-Orthogonal to the backend choice, the ``kernel=`` knob selects the
-implementation of the inner coupling loop for the edge-list backends
-(``"auto"`` | ``"numpy"`` | ``"tiled"`` | ``"numba"`` | ``"cc"``, see
-:mod:`repro.kernels`); it threads through ``make_backend`` /
-``make_batched_backend``, the ``simulate*`` drivers, and the CLI.
+run).  Grid solves (``simulate_grid`` and every campaign) always use the
+edge-list backend.
 """
 
 from __future__ import annotations
@@ -45,43 +32,29 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 from ..kernels import available_kernels, normalize_kernel_name
-from .base import RHSBackend, frequency_from_period
-from .batched import BatchedBackend
 from .dense import DenseBackend
-from .hetero import HeteroBatchedBackend
-from .sparse import SparseBackend
+from .hetero import HeteroBatchedBackend, frequency_from_period
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.model import RealizedModel
 
 __all__ = [
-    "RHSBackend",
     "DenseBackend",
-    "SparseBackend",
-    "BatchedBackend",
     "HeteroBatchedBackend",
     "frequency_from_period",
     "BACKENDS",
-    "BATCHED_BACKENDS",
     "SPARSE_DENSITY_THRESHOLD",
     "available_backends",
     "available_kernels",
     "auto_backend_name",
     "normalize_backend_name",
     "normalize_kernel_name",
-    "make_backend",
     "make_batched_backend",
 ]
 
-#: registry of single-state backends selectable by name
-BACKENDS: dict[str, type[RHSBackend]] = {
+#: registry of backends selectable by name
+BACKENDS: dict[str, type[HeteroBatchedBackend]] = {
     DenseBackend.name: DenseBackend,
-    SparseBackend.name: SparseBackend,
-}
-
-#: registry of multi-member (stacked super-state) backends
-BATCHED_BACKENDS: dict[str, type[HeteroBatchedBackend]] = {
-    BatchedBackend.name: BatchedBackend,
     HeteroBatchedBackend.name: HeteroBatchedBackend,
 }
 
@@ -112,73 +85,45 @@ def normalize_backend_name(name: str | None) -> str:
 
 def auto_backend_name(topology) -> str:
     """Density-based choice: sparse topologies get the edge-list kernel."""
-    return (SparseBackend.name
+    return (HeteroBatchedBackend.name
             if topology.density <= SPARSE_DENSITY_THRESHOLD
             else DenseBackend.name)
 
 
-def make_backend(realized: "RealizedModel", name: str = "auto",
-                 kernel: str | None = "auto",
-                 threads: int | None = None) -> RHSBackend:
-    """Compile ``realized`` with the named (or auto-selected) backend.
-
-    ``kernel`` selects the coupling-loop implementation for backends
-    that support it (see :mod:`repro.kernels`).  An explicit non-auto
-    kernel is itself a request for the edge-list path, so backend
-    ``"auto"`` then resolves to sparse regardless of density; only an
-    *explicit* kernel-less backend (dense) combined with an explicit
-    kernel is an error.  ``threads`` (default: the ``POM_NUM_THREADS``
-    environment variable, else 1) sets the in-kernel thread count for
-    the compiled kernels; like ``kernel``, an explicit count steers
-    backend ``"auto"`` onto the edge-list path.
-    """
-    key = normalize_backend_name(name)
-    if key == "auto":
-        if normalize_kernel_name(kernel) != "auto" or threads is not None:
-            key = SparseBackend.name
-        else:
-            key = auto_backend_name(realized.model.topology)
-    cls = BACKENDS[key]
-    if cls.supports_kernels:
-        return cls(realized, kernel=kernel, threads=threads)
-    if normalize_kernel_name(kernel) != "auto":
-        raise ValueError(
-            f"backend {key!r} does not support the kernel= knob "
-            f"(got kernel={kernel!r}); use the sparse backend"
-        )
-    if threads is not None:
-        raise ValueError(
-            f"backend {key!r} does not support the threads= knob "
-            f"(got threads={threads!r}); use the sparse backend"
-        )
-    return cls(realized)
-
-
 def make_batched_backend(members: Sequence["RealizedModel"],
-                         name: str = "auto",
+                         name: str | None = "auto",
                          kernel: str | None = "auto",
                          threads: int | None = None) -> HeteroBatchedBackend:
-    """Compile a stack of realisations into one multi-member backend.
+    """Compile a stack of realisations with the named (or auto) backend.
 
-    ``"auto"`` prefers the strict homogeneous :class:`BatchedBackend`
-    (its validation guarantees every member realises the same
-    declarative model) and falls back to the general
-    :class:`HeteroBatchedBackend` when the members form a parameter
-    grid.  Explicit names force a choice.  ``kernel`` selects the
-    coupling-loop implementation and ``threads`` the in-kernel thread
-    count (both batched backends support them).
+    ``"auto"`` picks the dense backend only when every member's topology
+    is dense.  ``kernel`` selects the coupling-loop implementation of
+    the edge-list backend (see :mod:`repro.kernels`) and ``threads`` its
+    in-kernel thread count (default: the ``POM_NUM_THREADS`` environment
+    variable, else 1).  An explicit non-auto kernel or an explicit
+    thread count is itself a request for the edge-list path, so
+    ``"auto"`` then resolves to sparse regardless of density; only an
+    explicit ``"dense"`` combined with either knob is an error.
     """
-    if name == "auto":
-        try:
-            return BatchedBackend(members, kernel=kernel, threads=threads)
-        except ValueError:
-            if len(members) == 0:
-                raise
-            return HeteroBatchedBackend(members, kernel=kernel,
-                                        threads=threads)
-    if name not in BATCHED_BACKENDS:
-        raise ValueError(
-            f"unknown batched backend {name!r}; available: "
-            f"auto, {', '.join(sorted(BATCHED_BACKENDS))}"
-        )
-    return BATCHED_BACKENDS[name](members, kernel=kernel, threads=threads)
+    if len(members) == 0:
+        raise ValueError("need at least one batch member")
+    key = normalize_backend_name(name)
+    explicit_kernel = normalize_kernel_name(kernel) != "auto"
+    if key == "auto":
+        dense = all(auto_backend_name(m.model.topology) == DenseBackend.name
+                    for m in members)
+        key = (DenseBackend.name
+               if dense and not explicit_kernel and threads is None
+               else HeteroBatchedBackend.name)
+    if key == DenseBackend.name:
+        if explicit_kernel:
+            raise ValueError(
+                f"backend {key!r} does not support the kernel= knob "
+                f"(got kernel={kernel!r}); use the sparse backend"
+            )
+        if threads is not None:
+            raise ValueError(
+                f"backend {key!r} does not support the threads= knob "
+                f"(got threads={threads!r}); use the sparse backend"
+            )
+    return BACKENDS[key](members, kernel=kernel, threads=threads)

@@ -1,11 +1,15 @@
 """Dense-matrix RHS backend — the reference implementation.
 
-Materialises the full ``(N, N)`` phase-difference matrix on every call,
-exactly like the paper's MATLAB artifact: O(N^2) time and memory per
-evaluation regardless of how sparse the topology is.  Kept as the ground
-truth the edge-list kernels are verified against, and as the fastest
-option for genuinely dense topologies (all-to-all), where the matrix
-formulation has no wasted work and BLAS-friendly layout.
+Materialises the full ``(N, N)`` phase-difference matrix of every member
+on every call, exactly like the paper's MATLAB artifact: O(N^2) time and
+memory per evaluation regardless of how sparse the topology is.  Kept as
+the ground truth the edge-list kernels are verified against, and as the
+fastest option for genuinely dense topologies (all-to-all), where the
+matrix formulation has no wasted work and BLAS-friendly layout.
+
+Everything except the coupling term (member stacking, intrinsic
+frequencies, subsets, the solver closures) is the stacked edge-list
+backend's; only the interaction sum is replaced.
 """
 
 from __future__ import annotations
@@ -14,48 +18,48 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .base import RHSBackend
+from .hetero import HeteroBatchedBackend
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..core.model import RealizedModel
     from ..integrate.history import HistoryBuffer
 
 __all__ = ["DenseBackend"]
 
 
-class DenseBackend(RHSBackend):
-    """Reference O(N^2) coupling kernel over the full topology matrix."""
+class DenseBackend(HeteroBatchedBackend):
+    """Reference O(N^2) coupling over each member's full topology matrix."""
 
     name = "dense"
 
-    def __init__(self, realized: "RealizedModel") -> None:
-        super().__init__(realized)
-        self._T = self.model.topology.matrix          # (n, n)
-        self._coupled = self._T != 0.0                # bool mask
-        self._any_coupled = bool(self._coupled.any())
+    def _setup_kernel(self, kernel: str | None, threads: int | None) -> None:
+        # The matrix arithmetic has no kernel or thread knob.
+        self.kernel = None
+        self.threads = 1
 
     def coupling(self, t: float, theta: np.ndarray,
                  history: "HistoryBuffer | None" = None) -> np.ndarray:
-        if self._vp_over_n == 0.0:
-            return np.zeros(self._n)
-
-        if not self.realized.has_delays or history is None:
-            dmat = theta[None, :] - theta[:, None]     # d[i, j] = th_j - th_i
-            vmat = np.asarray(self.model.potential(dmat), dtype=float)
-            return self._vp_over_n * (self._T * vmat).sum(axis=1)
-
-        # Delayed partner phases: evaluate the history once per distinct
-        # delay value (tau fields are piecewise constant with few levels).
-        tau_now = self.realized.tau(t)
-        dmat = np.empty((self._n, self._n))
-        uniq = np.unique(tau_now[self._coupled]) if self._any_coupled else []
-        dmat[:] = theta[None, :] - theta[:, None]
-        for v in uniq:
-            if v == 0.0:
+        out = np.zeros((self._r, self._n))
+        for r, m in enumerate(self.members):
+            vp = self._vps[r, 0]
+            if vp == 0.0:
                 continue
-            delayed = history(t - float(v))            # theta vector at t - v
-            mask = self._coupled & (tau_now == v)
-            rows, cols = np.nonzero(mask)
-            dmat[mask] = delayed[cols] - theta[rows]
-        vmat = np.asarray(self.model.potential(dmat), dtype=float)
-        return self._vp_over_n * (self._T * vmat).sum(axis=1)
+            T = m.model.topology.matrix                    # (n, n)
+            th = theta[r]
+            dmat = th[None, :] - th[:, None]               # d[i, j] = th_j - th_i
+            if m.has_delays and history is not None:
+                # Delayed partner phases: evaluate the history once per
+                # distinct delay value (tau fields are piecewise
+                # constant with few levels).
+                tau_now = m.tau(t)
+                coupled = T != 0.0
+                uniq = np.unique(tau_now[coupled]) if coupled.any() else []
+                for v in uniq:
+                    if v == 0.0:
+                        continue
+                    delayed = history(t - float(v))[r]     # member r at t - v
+                    mask = coupled & (tau_now == v)
+                    rows, cols = np.nonzero(mask)
+                    dmat[mask] = delayed[cols] - th[rows]
+            vmat = np.asarray(m.model.potential(dmat), dtype=float)
+            out[r] = vp * (T * vmat).sum(axis=1)
+        return out

@@ -1,10 +1,8 @@
-"""Heterogeneous batched RHS backend: R *different* models in one call.
+"""The stacked RHS backend: R realisations of Eq. 2 in one call.
 
-:class:`~repro.backends.batched.BatchedBackend` (PR 1) stacks R
-realisations of the *same* declarative model — a seed ensemble.  This
-module lifts the same-``v_p`` / same-potential / same-delay-schedule
-restrictions so that one stacked ``(R, N)`` solve can integrate an
-entire **parameter grid**: members may disagree on
+Every solve integrates a stack of ``R`` frozen realisations as one
+``(R, N)`` super-state: a single run is ``R = 1``, a seed ensemble or a
+parameter grid is ``R > 1``.  Members may disagree on
 
 * the coupling strength ``v_p`` (broadcast as an ``(R, 1)`` column),
 * the cycle period ``T = t_comp + t_comm`` (idem),
@@ -12,8 +10,7 @@ entire **parameter grid**: members may disagree on
   each group is evaluated in one vectorised ``(k, E)`` pass),
 * the one-off delay schedule (evaluated per member, or broadcast when
   all members share one),
-* the noise realisation (stacked when the refresh grids agree, as in
-  the homogeneous backend).
+* the noise realisation (stacked when the refresh grids agree).
 
 Only the oscillator count ``N`` must be shared.  Members may even
 disagree on the **topology** (a machine-design sweep over same-N
@@ -22,40 +19,41 @@ edge-list path — per-member edge lists concatenated with per-member
 offsets, padded to the widest member, pads scattered into a discarded
 overflow bin — whose per-row accumulation order is identical to
 solving each topology group separately, so topology-axis fusion is
-bit-for-bit identical to per-group shards.  Because the per-row
-accumulation order is identical to the sparse edge-list backend's, each
-row of the batched result matches the corresponding single-member
-evaluation to machine precision; this is what lets
-``grid_sweep(..., batched=True)`` and
+bit-for-bit identical to per-group shards.  Member rows never interact,
+so each row of a stacked evaluation equals the ``R = 1`` evaluation of
+that member bit for bit; this is what lets
 :func:`repro.core.simulation.simulate_grid` integrate all grid points as
 one super-state and fan exact per-point trajectories back out.
 
 The inner coupling loop is delegated to a selectable *kernel*
 (:mod:`repro.kernels`, ``kernel=`` knob):
 
-* ``"numpy"`` — the PR-2 path: preallocated ``(R, E)`` scratch gathers,
-  one family-vectorised potential call, one flattened ``np.bincount``.
+* ``"numpy"`` — one flat gather over the super-state, one
+  family-vectorised potential call, one flattened ``np.bincount``.
   Memory-bound at N ≳ a few thousand (every evaluation streams several
   ``(R, E)`` arrays).
 * ``"tiled"`` — the same arithmetic blocked over row-aligned edge
   ranges so the scratch stays cache-resident; works for any potential,
   including ``CustomPotential`` groups.
-* ``"numba"`` / ``"cc"`` — fused compiled kernels that evaluate the
-  potential family inline per edge block (per-member ``(kind, p0, p1)``
+* ``"cc"`` — the fused compiled kernel that evaluates the potential
+  family inline per edge block (per-member ``(kind, p0, p1)``
   coefficients, so members may even mix families), eliminating the
   ``(R, E)`` round-trips entirely.
 
-``"auto"`` prefers a compiled kernel whenever every member's potential
+``"auto"`` prefers the compiled kernel whenever every member's potential
 exposes kernel coefficients; ``CustomPotential`` members fall back to
 the NumPy/tiled per-group paths.
 
 For mixed-topology batches the ``"numpy"`` kernel uses the padded
 stacked path and ``"tiled"`` a block-diagonal
-:class:`~repro.kernels.tiled.TiledStackedCoupling`; the compiled
-kernels (``"cc"``/``"numba"``) have no mixed edge-list entry point and
-fall back to one compiled sub-backend per topology group (one-time
-:class:`RuntimeWarning`) — still bit-identical, one compiled call per
-group instead of one per batch.
+:class:`~repro.kernels.tiled.TiledStackedCoupling`; the compiled kernel
+has no mixed edge-list entry point and falls back to one compiled
+sub-backend per topology group (one-time :class:`RuntimeWarning`) —
+still bit-identical, one compiled call per group instead of one per
+batch.
+
+Delayed (DDE) evaluations patch each member's edge subset per distinct
+delay level with the NumPy kernel, reading the ``(R, N)`` history.
 """
 
 from __future__ import annotations
@@ -67,14 +65,25 @@ import numpy as np
 
 from .. import kernels
 from ..kernels import cc as cc_kernels
-from ..kernels import numba_kernels
-from .base import frequency_from_period
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.model import RealizedModel
     from ..integrate.history import HistoryBuffer
 
-__all__ = ["HeteroBatchedBackend", "same_topology"]
+__all__ = ["HeteroBatchedBackend", "frequency_from_period", "same_topology"]
+
+
+def frequency_from_period(denom: np.ndarray) -> np.ndarray:
+    """``2*pi / denom`` with stalled processes mapped to frequency 0.
+
+    A non-positive or infinite effective period means the process does
+    not advance (the exact semantics of a full-stall injection).
+    """
+    freq = np.zeros_like(denom, dtype=float)
+    good = np.isfinite(denom) & (denom > 0.0)
+    freq[good] = 2.0 * np.pi / denom[good]
+    return freq
+
 
 #: one-time flag for the mixed-topology compiled-kernel fallback warning
 _warned_mixed_compiled = False
@@ -130,19 +139,24 @@ def _potential_key(potential) -> tuple:
 
 
 class HeteroBatchedBackend:
-    """Vectorised RHS over a stack of realisations of *different* models.
+    """Edge-list RHS over a stack of frozen realisations.
 
     Parameters
     ----------
     members:
-        Frozen realisations sharing the topology and oscillator count;
-        everything else (coupling strength, period, potential, noise,
+        Frozen realisations sharing the oscillator count; everything
+        else (topology, coupling strength, period, potential, noise,
         delay schedule) may vary per member.  States are ``(R, N)``
         arrays with one row per member.
+    kernel:
+        Coupling-loop kernel (see :mod:`repro.kernels`).
+    threads:
+        In-kernel thread count of the compiled kernel (bit-identical for
+        any value); default: ``POM_NUM_THREADS``, else 1.
     """
 
-    name = "hetero"
-    supports_kernels = True
+    #: identifier used by the ``backend=`` knobs and reports
+    name = "sparse"
 
     def __init__(self, members: Sequence["RealizedModel"],
                  kernel: str | None = "auto",
@@ -173,14 +187,9 @@ class HeteroBatchedBackend:
         if mixed:
             per = [m.model.topology.edge_list() for m in self.members]
             self._rows = self._cols = None
-            self._flat_rows = None
         else:
             per = [first.topology.edge_list()] * self._r
             self._rows, self._cols = first.topology.edge_list()
-            # Flattened segment indices for the one-shot bincount: member
-            # r's row i accumulates at r*N + i.
-            offsets = np.arange(self._r, dtype=np.intp) * self._n
-            self._flat_rows = (offsets[:, None] + self._rows[None, :]).ravel()
         self._per_rows = [rc[0] for rc in per]
         self._per_cols = [rc[1] for rc in per]
         self._edge_sizes = [int(r.size) for r in self._per_rows]
@@ -211,62 +220,63 @@ class HeteroBatchedBackend:
         if len(self._pot_groups) > 1:
             self._pot_stacked = type(self._pots[0]).stack(self._pots) \
                 if hasattr(type(self._pots[0]), "stack") else None
-        # Kernel selection (see repro.kernels): fused compiled kernels
-        # need per-member potential coefficients; tiled/numpy go through
-        # the Python potential callables above.
+        # Constant across calls: no edges or no coupling in any member
+        # means a zero interaction term.
+        self._coupled = self._total_edges > 0 and bool(np.any(self._vps))
         self._kernel_request = kernels.normalize_kernel_name(kernel)
+        self._threads_request = threads
+        self._setup_kernel(kernel, threads)
+
+    def _setup_kernel(self, kernel: str | None, threads: int | None) -> None:
+        """Resolve the coupling kernel and build its dispatch state.
+
+        Fused compiled kernels need per-member potential coefficients;
+        tiled/numpy go through the Python potential callables.
+        """
         self._coeffs = kernels.family_coefficients(self._pots)
         self.kernel = kernels.resolve_kernel(
             kernel, has_coefficients=self._coeffs is not None,
             n_edges=max(self._edge_sizes))
-        self._threads_request = threads
         self.threads = kernels.resolve_threads(threads)
         self._tiled = None
         self._stacked = None
         self._subs = None
         self._rows32 = self._cols32 = None
-        if mixed:
+        if self._mixed:
             self._setup_mixed()
         elif self.kernel == "tiled":
             self._tiled = kernels.TiledBatchedCoupling(
-                first.topology, self._edge_potential, self._vps, self._r)
-        elif self.kernel in ("cc", "numba"):
+                self.model.topology, self._edge_potential, self._vps, self._r)
+        elif self.kernel == "cc":
             self._rows32 = np.ascontiguousarray(self._rows, dtype=np.int32)
             self._cols32 = np.ascontiguousarray(self._cols, dtype=np.int32)
             self._vps_flat = np.ascontiguousarray(self._vps.ravel())
             # Distance rings (the paper's halo exchanges) additionally
-            # drop the gathers/scatters for contiguous shifted passes —
-            # both compiled kernels carry the specialisation; 2-D tori
-            # get the column-ring + per-row halo decomposition.
+            # drop the gathers/scatters for contiguous shifted passes;
+            # 2-D tori get the column-ring + per-row halo decomposition.
             self._ring_offsets = cc_kernels.ring_offsets(
                 self._rows, self._cols, self._n)
             self._torus_halo = None
             if self._ring_offsets is None:
                 self._torus_halo = cc_kernels.torus_halo(
                     self._rows, self._cols, self._n)
-        # Preallocated (R, E) scratch for the non-delayed numpy kernel.
-        if self.kernel == "numpy" and not mixed:
-            e = self._rows.size
-            self._d_edge = np.empty((self._r, e))
-            self._th_rows = np.empty((self._r, e))
+        elif self.kernel == "numpy":
+            self._setup_gather()
 
     def _setup_mixed(self) -> None:
         """Dispatch setup for a topology-axis (mixed edge-list) batch.
 
         ``tiled`` gets the block-diagonal stacked kernel, the compiled
-        kernels fall back to one sub-backend per topology group, and
-        ``numpy`` builds the padded stacked gather/scatter: per-member
-        edge lists padded to the widest member ``Emax``; pad slots
-        gather the member's own element 0 twice (a guaranteed-finite
-        ``d = 0``) and scatter into the discarded overflow bin ``R*N``,
-        so padding never touches a real accumulator.
+        kernel falls back to one sub-backend per topology group, and
+        ``numpy`` the padded stacked gather/scatter of
+        :meth:`_setup_gather`.
         """
         if self.kernel == "tiled":
             self._stacked = kernels.TiledStackedCoupling(
                 self._n, self._per_rows, self._per_cols, self._pots,
                 self._vps)
             return
-        if self.kernel in ("cc", "numba"):
+        if self.kernel == "cc":
             _warn_mixed_compiled(self.kernel)
             groups: list[tuple[list[int], "RealizedModel"]] = []
             for i, m in enumerate(self.members):
@@ -292,6 +302,21 @@ class HeteroBatchedBackend:
                                           kernel=self.kernel,
                                           threads=self._threads_request)))
             return
+        self._setup_gather()
+
+    def _setup_gather(self) -> None:
+        """Flat gather/scatter indices for the numpy kernel.
+
+        Member ``r``'s edge ``(i, j)`` reads the flattened ``(R*N,)``
+        super-state at ``r*N + j`` and ``r*N + i`` and accumulates at
+        ``r*N + i``, so one gather, one potential pass over ``(R, E)``
+        and one bincount serve the whole stack.  For a topology-axis
+        batch the per-member edge lists are padded to the widest member
+        ``Emax``; pad slots gather the member's own element 0 twice (a
+        guaranteed-finite ``d = 0``) and scatter into the discarded
+        overflow bin ``R*N``, so padding never touches a real
+        accumulator.
+        """
         emax = max(self._edge_sizes)
         offsets = np.arange(self._r, dtype=np.intp) * self._n
         grows = np.empty((self._r, emax), dtype=np.intp)
@@ -305,9 +330,8 @@ class HeteroBatchedBackend:
             gcols[r, e:] = offsets[r]
             scat[r, :e] = offsets[r] + self._per_rows[r]
         self._grows, self._gcols = grows, gcols
-        self._scatter_pad = scat.ravel()
-        self._d_edge = np.empty((self._r, emax))
-        self._th_rows = np.empty((self._r, emax))
+        self._scatter = scat.ravel()
+        self._bins = self._r * self._n + (1 if self._mixed else 0)
 
     def _stack_zeta(self) -> np.ndarray | None:
         """Stack member zeta realisations when they share a refresh grid."""
@@ -345,9 +369,9 @@ class HeteroBatchedBackend:
         members reject a step the whole batch accepted, only those rows
         are re-integrated through a small subset backend.
         """
-        return HeteroBatchedBackend([self.members[int(i)] for i in idx],
-                                    kernel=self._kernel_request,
-                                    threads=self._threads_request)
+        return type(self)([self.members[int(i)] for i in idx],
+                          kernel=self._kernel_request,
+                          threads=self._threads_request)
 
     # ------------------------------------------------------------------
     def _delay_zeta(self, t: float) -> np.ndarray:
@@ -389,7 +413,7 @@ class HeteroBatchedBackend:
     def coupling(self, t: float, theta: np.ndarray,
                  history: "HistoryBuffer | None" = None) -> np.ndarray:
         """Stacked interaction terms for the super-state ``theta (R, N)``."""
-        if self._total_edges == 0 or not np.any(self._vps):
+        if not self._coupled:
             return np.zeros((self._r, self._n))
 
         if not self.has_delays or history is None:
@@ -407,46 +431,31 @@ class HeteroBatchedBackend:
             if self._rows32 is not None:
                 kinds, p0, p1 = self._coeffs
                 theta = np.ascontiguousarray(theta, dtype=float)
-                mod = cc_kernels if self.kernel == "cc" else numba_kernels
                 if self._ring_offsets is not None:
-                    return mod.ring_batched(
+                    return cc_kernels.ring_batched(
                         self._ring_offsets, theta,
                         np.empty((self._r, self._n)), kinds, p0, p1,
                         self._vps_flat, threads=self.threads)
                 if self._torus_halo is not None:
-                    return mod.torus_batched(
+                    return cc_kernels.torus_batched(
                         self._torus_halo, theta,
                         np.empty((self._r, self._n)), kinds, p0, p1,
                         self._vps_flat, threads=self.threads)
-                return mod.fused_batched(self._rows32, self._cols32, theta,
-                                         np.empty((self._r, self._n)),
-                                         kinds, p0, p1, self._vps_flat,
-                                         threads=self.threads)
-            if self._mixed:
-                # Padded stacked path: gather per-member edges from the
-                # flattened (R*N,) super-state, one family-vectorised
-                # potential pass over (R, Emax), one bincount whose
-                # overflow bin swallows every pad slot.  Per-row
-                # accumulation order equals the per-group path's.
-                flat = np.ascontiguousarray(theta).reshape(-1)
-                np.take(flat, self._gcols, out=self._d_edge)
-                np.take(flat, self._grows, out=self._th_rows)
-                np.subtract(self._d_edge, self._th_rows, out=self._d_edge)
-                v_edge = self._edge_potential(self._d_edge)
-                acc = np.bincount(self._scatter_pad, weights=v_edge.ravel(),
-                                  minlength=self._r * self._n + 1)
-                out = acc[:self._r * self._n].reshape(self._r, self._n)
-                out *= self._vps
-                return out
-            # Gather into the preallocated scratch; d_edge = theta[:, cols]
-            # - theta[:, rows] without per-call allocations.
-            np.take(theta, self._cols, axis=1, out=self._d_edge)
-            np.take(theta, self._rows, axis=1, out=self._th_rows)
-            np.subtract(self._d_edge, self._th_rows, out=self._d_edge)
-            v_edge = self._edge_potential(self._d_edge)
-            acc = np.bincount(self._flat_rows, weights=v_edge.ravel(),
-                              minlength=self._r * self._n)
-            out = acc.reshape(self._r, self._n)
+                return cc_kernels.fused_batched(
+                    self._rows32, self._cols32, theta,
+                    np.empty((self._r, self._n)), kinds, p0, p1,
+                    self._vps_flat, threads=self.threads)
+            # One flat gather over the (R*N,) super-state, one
+            # family-vectorised potential pass over (R, E), one bincount
+            # (whose overflow bin swallows the pad slots of a mixed
+            # batch).  Per-row accumulation order equals the per-member
+            # edge order, whatever the stack.
+            flat = theta.reshape(-1)
+            d_edge = flat[self._gcols] - flat[self._grows]
+            v_edge = self._edge_potential(d_edge)
+            acc = np.bincount(self._scatter, weights=v_edge.ravel(),
+                              minlength=self._bins)
+            out = acc[:self._r * self._n].reshape(self._r, self._n)
             out *= self._vps
             return out
 
@@ -491,10 +500,10 @@ class HeteroBatchedBackend:
     def make_em_drift(self):
         """Euler-Maruyama drift closure: noise-free intrinsic + coupling.
 
-        Mirrors the sequential EM path: the frozen zeta realisation is
-        *excluded* from the drift (the Gaussian channel enters as true
-        white noise through the diffusion term instead); one-off delay
-        schedules stay in, per member.
+        The frozen zeta realisation is *excluded* from the drift (the
+        Gaussian channel enters as true white noise through the
+        diffusion term instead); one-off delay schedules stay in, per
+        member.
         """
         if self.has_delays:
             raise ValueError("batch has interaction delays; EM is ODE-only")

@@ -36,8 +36,8 @@ from typing import Sequence
 import numpy as np
 
 from ..backends import (
-    RHSBackend,
-    make_backend,
+    HeteroBatchedBackend,
+    make_batched_backend,
     normalize_backend_name,
     normalize_kernel_name,
 )
@@ -90,9 +90,9 @@ class PhysicalOscillatorModel:
         density), ``"dense"`` (O(N^2) reference) or ``"sparse"``
         (O(E) edge-list kernel).  See :mod:`repro.backends`.
     kernel:
-        Coupling-loop kernel for the edge-list backends: ``"auto"``
-        (default — fastest available), ``"numpy"``, ``"tiled"``,
-        ``"numba"``, or ``"cc"``.  See :mod:`repro.kernels`.
+        Coupling-loop kernel for the edge-list backend: ``"auto"``
+        (default — fastest available), ``"numpy"``, ``"tiled"``, or
+        ``"cc"``.  See :mod:`repro.kernels`.
     """
 
     topology: Topology
@@ -218,9 +218,10 @@ class RealizedModel:
     every random channel must be a function of time only — this object
     guarantees that.
 
-    The actual RHS arithmetic is delegated to a compiled compute backend
+    The RHS arithmetic is the ``R = 1`` stack of a compute backend
     (:mod:`repro.backends`): dense matrix algebra, or the O(E) edge-list
-    kernel for sparse topologies (default choice is by density).
+    kernel for sparse topologies (default choice is by density).  The
+    methods below are ``(N,)`` views of that stack.
     """
 
     def __init__(self, model: PhysicalOscillatorModel, zeta: ZetaProcess,
@@ -231,14 +232,13 @@ class RealizedModel:
         self.zeta = zeta
         self.tau = tau
         self.delay_schedule = delay_schedule
-        self._period = model.period
         self._n = model.n
         self._backend_request = normalize_backend_name(backend)
         self._kernel_request = normalize_kernel_name(kernel)
         # Runtime-only knob: never describes/hashes (results are
         # bit-identical for any thread count).
         self._threads_request = threads
-        self._backend: RHSBackend | None = None
+        self._backend: HeteroBatchedBackend | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -247,17 +247,17 @@ class RealizedModel:
         return self._n
 
     @property
-    def backend(self) -> RHSBackend:
-        """The compiled compute backend (compiled lazily on first use).
+    def backend(self) -> HeteroBatchedBackend:
+        """The compiled ``R = 1`` compute backend (compiled on first use).
 
-        Lazy so that consumers with their own kernels — notably the
-        batched ensemble path, which stacks many realisations — do not
-        pay for R unused single-state compilations.
+        Lazy so that stacks of many realisations — ensembles and grids,
+        which compile one backend over all members — do not pay for R
+        unused single-member compilations.
         """
         if self._backend is None:
-            self._backend = make_backend(self, self._backend_request,
-                                         kernel=self._kernel_request,
-                                         threads=self._threads_request)
+            self._backend = make_batched_backend(
+                [self], self._backend_request, kernel=self._kernel_request,
+                threads=self._threads_request)
         return self._backend
 
     @property
@@ -282,17 +282,19 @@ class RealizedModel:
         (a fully stalled process), which is the exact meaning of a
         one-off full-stall injection.
         """
-        return self.backend.intrinsic_frequency(t)
+        return self.backend.intrinsic_frequency(t)[0]
 
     def coupling_term(self, t: float, theta: np.ndarray,
                       history: HistoryBuffer | None = None) -> np.ndarray:
         """Interaction term ``(v_p/N) * sum_j T_ij V(theta_j^(del) - theta_i)``."""
-        return self.backend.coupling(t, theta, history)
+        return self.backend.coupling(t, np.asarray(theta)[None],
+                                     _stacked_history(history))[0]
 
     def rhs(self, t: float, theta: np.ndarray,
             history: HistoryBuffer | None = None) -> np.ndarray:
         """Full right-hand side of Eq. 2."""
-        return self.intrinsic_frequency(t) + self.coupling_term(t, theta, history)
+        return self.backend.rhs(t, np.asarray(theta)[None],
+                                _stacked_history(history))[0]
 
     def make_ode_rhs(self):
         """Closure ``f(t, theta)`` for ODE solvers (requires no delays)."""
@@ -305,6 +307,13 @@ class RealizedModel:
     def make_dde_rhs(self, history: HistoryBuffer):
         """Closure ``f(t, theta)`` that reads delayed states from ``history``."""
         return lambda t, y: self.rhs(t, y, history)
+
+
+def _stacked_history(history):
+    """An ``(N,)`` history as the ``(1, N)`` one the stacked backend reads."""
+    if history is None:
+        return None
+    return lambda t: np.asarray(history(t))[None]
 
 
 @dataclass

@@ -1,5 +1,14 @@
 """Simulation driver: integrate a model into an `OscillatorTrajectory`.
 
+One solve path
+--------------
+Every entry point realises its members, compiles them into one stacked
+backend (:func:`repro.backends.make_batched_backend`) and integrates the
+``(R, N)`` super-state in a single solver pass (:func:`_solve_stacked`),
+then fans the per-member trajectories back out (:func:`_fan_out`).
+:func:`simulate` is the ``R = 1`` case, :func:`simulate_batched` a seed
+ensemble, :func:`simulate_grid` a parameter grid.
+
 Solver selection
 ----------------
 * ``"dopri"`` (default) — the adaptive Dormand-Prince 5(4) pair, the
@@ -23,12 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..backends import (
-    BatchedBackend,
-    HeteroBatchedBackend,
-    frequency_from_period,
-    make_batched_backend,
-)
+from ..backends import HeteroBatchedBackend, make_batched_backend
 from ..integrate import (
     HistoryBuffer,
     solve_dopri45,
@@ -37,7 +41,7 @@ from ..integrate import (
     solve_rk4,
 )
 from .initial import synchronized
-from .model import KuramotoModel, PhysicalOscillatorModel, RealizedModel
+from .model import KuramotoModel, PhysicalOscillatorModel
 from .noise import GaussianJitter, NoNoise
 from .trajectory import OscillatorTrajectory
 
@@ -112,7 +116,7 @@ def simulate(
         ``"sparse"``); default: the model's own ``backend`` knob.
     kernel:
         Coupling-loop kernel override (``"auto"`` | ``"numpy"`` |
-        ``"tiled"`` | ``"numba"`` | ``"cc"``, see :mod:`repro.kernels`);
+        ``"tiled"`` | ``"cc"``, see :mod:`repro.kernels`);
         default: the model's own ``kernel`` knob.
     threads:
         In-kernel thread count for the compiled kernels (bit-identical
@@ -128,36 +132,34 @@ def simulate(
               else np.asarray(theta0, dtype=float).copy())
     if theta0.shape != (model.n,):
         raise ValueError(f"theta0 has shape {theta0.shape}, expected ({model.n},)")
+    return _simulate_stack(
+        [model], [seed], t_end, theta0[None], method=method, dt=dt,
+        rtol=rtol, atol=atol, n_samples=n_samples,
+        backend=model.backend if backend is None else backend,
+        kernel=model.kernel if kernel is None else kernel,
+        threads=threads)[0]
 
-    realized = model.realize(t_end, rng=seed, backend=backend, kernel=kernel,
-                             threads=threads)
+
+def _simulate_stack(models: Sequence[PhysicalOscillatorModel],
+                    seeds: Sequence[int | None], t_end: float,
+                    theta0s: np.ndarray, *, method: str, dt: float | None,
+                    rtol: float, atol: float, n_samples: int | None,
+                    backend: str, kernel: str | None, threads: int | None,
+                    per_member_adaptive: bool = True, observer=None,
+                    record: str | int = "full") -> list[OscillatorTrajectory]:
+    """The one solve path: realise, stack, integrate, fan out."""
+    members = [m.realize(t_end, rng=s, backend=backend, kernel=kernel,
+                         threads=threads) for m, s in zip(models, seeds)]
+    stacked = make_batched_backend(members, backend, kernel=kernel,
+                                   threads=threads)
     if dt is None:
-        dt = default_dt(model)
-
-    if realized.has_delays:
-        sol = _solve_dde(realized, t_end, theta0, dt)
-    elif method == "dopri":
-        max_step = _noise_feature_dt(model) / 2.0
-        sol = solve_dopri45(realized.make_ode_rhs(), (0.0, t_end), theta0,
-                            rtol=rtol, atol=atol,
-                            max_step=max_step if np.isfinite(max_step) else np.inf)
-    elif method == "rk4":
-        sol = solve_rk4(realized.make_ode_rhs(), (0.0, t_end), theta0, dt=dt)
-    elif method == "euler":
-        sol = solve_euler(realized.make_ode_rhs(), (0.0, t_end), theta0, dt=dt)
-    elif method == "em":
-        sol = _solve_em(model, realized, t_end, theta0, dt, seed)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
+        dt = min(default_dt(m) for m in models)
+    sol = _solve_stacked(stacked, models, t_end, theta0s, method, dt,
+                         rtol, atol, seeds, per_member_adaptive,
+                         observer=observer, record=record)
     if not sol.success:
         raise RuntimeError(f"integration failed: {sol.message}")
-
-    traj = OscillatorTrajectory(ts=sol.ts, thetas=sol.ys, model=model,
-                                solution=sol, seed=seed)
-    if n_samples is not None:
-        traj = traj.resample(n_samples)
-    return traj
+    return _fan_out(sol, models, seeds, n_samples)
 
 
 def _subset_rhs_factory(stacked: HeteroBatchedBackend):
@@ -188,8 +190,8 @@ def _solve_em_stacked(stacked: HeteroBatchedBackend, amps: np.ndarray,
     """Batched Euler-Maruyama: (R, N) Wiener increments inside the solver.
 
     ``amps`` is the per-member diffusion amplitude column ``(R, 1)``;
-    each member's increments come from its own seeded generator, in the
-    same order the sequential per-seed solve draws them, so the batched
+    each member's increments come from its own seeded generator, so a
+    member's path does not depend on the rest of the stack: a batched
     ensemble reproduces the one-seed-at-a-time runs bit for bit.
     """
     drift = stacked.make_em_drift()
@@ -197,14 +199,21 @@ def _solve_em_stacked(stacked: HeteroBatchedBackend, amps: np.ndarray,
     def diffusion(t: float, theta: np.ndarray) -> np.ndarray:
         return np.broadcast_to(amps, theta.shape)
 
-    rngs = [np.random.default_rng(int(s)) for s in seeds]
+    rngs = [np.random.default_rng(None if s is None else int(s))
+            for s in seeds]
     return solve_euler_maruyama(drift, diffusion, (0.0, t_end), theta0s,
                                 dt=dt, rng=rngs, observer=observer,
                                 record=record)
 
 
 def _em_amplitude(model: PhysicalOscillatorModel) -> float:
-    """Diffusion amplitude of the EM noise mapping (see :func:`_solve_em`)."""
+    """Diffusion amplitude of the EM noise mapping.
+
+    The drift uses the *noise-free* intrinsic frequency plus the one-off
+    delay schedule; the Gaussian channel's std maps to the diffusion
+    amplitude ``omega^2/(2*pi) * std`` (first-order expansion of
+    ``2*pi/(T + zeta)`` around ``zeta = 0``).
+    """
     noise = model.local_noise
     if not isinstance(noise, GaussianJitter):
         raise ValueError('method "em" requires a GaussianJitter local noise')
@@ -216,7 +225,7 @@ def _solve_stacked(stacked, models: Sequence[PhysicalOscillatorModel],
                    dt: float, rtol: float, atol: float,
                    seeds: Sequence[int], per_member_adaptive: bool,
                    observer=None, record: str | int = "full"):
-    """Shared solver dispatch for the batched ensemble and grid paths.
+    """The solver dispatch shared by every entry point.
 
     ``observer``/``record`` are the streaming-metrics hooks of
     :mod:`repro.metrics.streaming`: the observer sees the stacked
@@ -302,7 +311,8 @@ def _fan_out(sol, models: Sequence[PhysicalOscillatorModel],
             success=sol.success, message=sol.message)
         trajs.append(OscillatorTrajectory(
             ts=sampled.ts, thetas=sampled.ys[:, r, :],
-            model=model, solution=member_sol, seed=int(seed)))
+            model=model, solution=member_sol,
+            seed=None if seed is None else int(seed)))
     return trajs
 
 
@@ -325,7 +335,7 @@ def simulate_batched(
     """Integrate a whole seed ensemble as one ``(R, N)`` super-state.
 
     Realises the model once per seed, stacks the members, evaluates all
-    RHSs through the vectorised :class:`~repro.backends.BatchedBackend`,
+    RHSs through one stacked backend (chosen like :func:`simulate`'s),
     and runs a *single* solver pass.  This amortises the per-step Python
     overhead over all members and replaces R small coupling kernels with
     one large one.  The members share one (adaptive) time mesh; every
@@ -348,13 +358,13 @@ def simulate_batched(
         per-seed runs bit for bit (at equal ``dt``).
     kernel:
         Coupling-loop kernel for the batched backend (``"auto"`` |
-        ``"numpy"`` | ``"tiled"`` | ``"numba"`` | ``"cc"``).
+        ``"numpy"`` | ``"tiled"`` | ``"cc"``).
     threads:
         In-kernel thread count for the compiled kernels (bit-identical
         for any value); default: ``POM_NUM_THREADS``, else 1.
     per_member_adaptive:
         Enable the per-member step-rejection control for ``"dopri"``
-        (default on; turn off to force the PR-1 worst-member-drags-all
+        (default on; turn off to force the worst-member-drags-all
         behaviour, e.g. for benchmarking).
 
     Returns
@@ -366,12 +376,6 @@ def simulate_batched(
         raise ValueError("t_end must be positive")
     if len(seeds) == 0:
         raise ValueError("need at least one seed")
-
-    members = [model.realize(t_end, rng=seed, backend=backend, kernel=kernel)
-               for seed in seeds]
-    stacked = BatchedBackend(members, kernel=kernel
-                             if kernel is not None else model.kernel,
-                             threads=threads)
     theta0s = np.stack([
         (synchronized(model.n) if theta0_factory is None
          else np.asarray(theta0_factory(seed), dtype=float))
@@ -382,15 +386,12 @@ def simulate_batched(
             f"stacked theta0 has shape {theta0s.shape}, "
             f"expected ({len(seeds)}, {model.n})"
         )
-    if dt is None:
-        dt = default_dt(model)
-
-    models = [model] * len(seeds)
-    sol = _solve_stacked(stacked, models, t_end, theta0s, method, dt,
-                         rtol, atol, seeds, per_member_adaptive)
-    if not sol.success:
-        raise RuntimeError(f"batched integration failed: {sol.message}")
-    return _fan_out(sol, models, seeds, n_samples)
+    return _simulate_stack(
+        [model] * len(seeds), list(seeds), t_end, theta0s, method=method,
+        dt=dt, rtol=rtol, atol=atol, n_samples=n_samples,
+        backend=model.backend if backend is None else backend,
+        kernel=model.kernel if kernel is None else kernel,
+        threads=threads, per_member_adaptive=per_member_adaptive)
 
 
 def simulate_grid(
@@ -482,10 +483,6 @@ def simulate_grid(
         # back to auto resolution for the stacked backend.
         model_kernels = {m.kernel for m in models}
         kernel = model_kernels.pop() if len(model_kernels) == 1 else "auto"
-    members = [m.realize(t_end, rng=s, kernel=kernel)
-               for m, s in zip(models, seed_list)]
-    stacked = make_batched_backend(members, kernel=kernel, threads=threads)
-
     if theta0s is not None:
         theta0s = np.asarray(theta0s, dtype=float).copy()
     else:
@@ -497,60 +494,11 @@ def simulate_grid(
             f"stacked theta0 has shape {theta0s.shape}, "
             f"expected ({len(models)}, {n})"
         )
-    if dt is None:
-        dt = min(default_dt(m) for m in models)
-
-    sol = _solve_stacked(stacked, models, t_end, theta0s, method, dt,
-                         rtol, atol, seed_list, per_member_adaptive,
-                         observer=observer, record=record)
-    if not sol.success:
-        raise RuntimeError(f"grid integration failed: {sol.message}")
-    return _fan_out(sol, models, seed_list, n_samples)
-
-
-def _solve_dde(realized: RealizedModel, t_end: float, theta0: np.ndarray,
-               dt: float):
-    """Fixed-step RK4 with a history buffer for the delayed coupling."""
-    history = HistoryBuffer(0.0, theta0)
-    rhs = realized.make_dde_rhs(history)
-    # Seed the initial derivative so sub-step extrapolation works from
-    # the very first step.
-    history._fs[0] = rhs(0.0, theta0)
-
-    def cb(t: float, y: np.ndarray) -> None:
-        history.append(t, y, rhs(t, y))
-
-    return solve_rk4(rhs, (0.0, t_end), theta0, dt=dt, step_callback=cb)
-
-
-def _solve_em(model: PhysicalOscillatorModel, realized: RealizedModel,
-              t_end: float, theta0: np.ndarray, dt: float, seed: int | None):
-    """Euler-Maruyama: Gaussian zeta treated as white frequency noise.
-
-    The drift uses the *noise-free* intrinsic frequency plus the one-off
-    delay schedule; the Gaussian channel's std maps to the diffusion
-    amplitude ``omega^2/(2*pi) * std`` (first-order expansion of
-    ``2*pi/(T + zeta)`` around ``zeta = 0``).
-    """
-    noise = model.local_noise
-    if not isinstance(noise, GaussianJitter):
-        raise ValueError('method "em" requires a GaussianJitter local noise')
-    amp = model.omega ** 2 / (2.0 * np.pi) * noise.std
-
-    period = model.period
-    n = model.n
-    sched = realized.delay_schedule
-
-    def drift(t: float, theta: np.ndarray) -> np.ndarray:
-        freq = frequency_from_period(period + sched(t, n))
-        return freq + realized.coupling_term(t, theta)
-
-    def diffusion(t: float, theta: np.ndarray) -> np.ndarray:
-        return np.full(n, amp)
-
-    rng = np.random.default_rng(seed)
-    return solve_euler_maruyama(drift, diffusion, (0.0, t_end), theta0,
-                                dt=dt, rng=rng)
+    return _simulate_stack(
+        models, seed_list, t_end, theta0s, method=method, dt=dt, rtol=rtol,
+        atol=atol, n_samples=n_samples, backend="sparse", kernel=kernel,
+        threads=threads, per_member_adaptive=per_member_adaptive,
+        observer=observer, record=record)
 
 
 def simulate_kuramoto(

@@ -1,40 +1,36 @@
 """Compiled and tiled coupling kernels for large-N topologies.
 
-The RHS backends (:mod:`repro.backends`) delegate the hot coupling loop
-— gather partner phases over the edge list, evaluate the interaction
-potential, scatter-accumulate per row — to one of four interchangeable
-*kernels*, selected by the ``kernel=`` knob threaded through
-``make_backend`` / ``make_batched_backend``, ``simulate*``, and the CLI:
+The stacked RHS backend (:mod:`repro.backends`) delegates the hot
+coupling loop — gather partner phases over the edge list, evaluate the
+interaction potential, scatter-accumulate per row — to one of three
+interchangeable *kernels*, selected by the ``kernel=`` knob threaded
+through ``make_batched_backend``, ``simulate*``, and the CLI:
 
 ``"numpy"``
-    The PR-1/PR-2 vectorised edge-list path (one ``(R, E)`` round-trip
-    per evaluation).  Always available; the reference implementation.
+    The vectorised edge-list path (one ``(R, E)`` round-trip per
+    evaluation).  Always available; the reference implementation.
 ``"tiled"``
     CSR-tiled NumPy (:mod:`repro.kernels.tiled`): the same arithmetic
     blocked over row-aligned edge ranges so the scratch stays
     cache-resident.  Works for *any* potential, including
     ``CustomPotential``.
-``"numba"``
-    Numba-jitted fused kernel (:mod:`repro.kernels.numba_kernels`).
-    Requires the optional ``fast`` extra (``pip install -e .[fast]``)
-    and a potential family with kernel coefficients.
 ``"cc"``
     Fused kernel compiled on first use with the system C compiler and
-    loaded via ctypes (:mod:`repro.kernels.cc`).  Same requirements as
-    ``"numba"`` minus the Python package: any working ``cc`` will do.
+    loaded via ctypes (:mod:`repro.kernels.cc`).  Needs a working ``cc``
+    and a potential family with kernel coefficients.
 
-``"auto"`` resolves, in order: ``numba`` (when importable), ``cc`` (when
-a compiler is available) — both only if every potential in the batch
-exposes :meth:`~repro.core.potentials.Potential.kernel_coefficients` —
-then ``tiled`` for problems with at least ``TILED_AUTO_MIN_EDGES``
-edges, else ``numpy``.  Delayed (DDE) evaluations always use the NumPy
+``"auto"`` resolves to ``cc`` when a compiler is available and every
+potential in the batch exposes
+:meth:`~repro.core.potentials.Potential.kernel_coefficients`, else to
+``tiled`` for problems with at least ``TILED_AUTO_MIN_EDGES`` edges,
+else to ``numpy``.  Delayed (DDE) evaluations always use the NumPy
 edge-patching path regardless of the knob; the kernels cover the
 non-delayed fast path that dominates every paper workload.
 
 Orthogonal to the kernel choice, :func:`resolve_threads` resolves the
 in-kernel thread count (the ``threads=`` knob on the backends /
 ``simulate*`` / CLI, defaulting to the ``POM_NUM_THREADS`` environment
-variable): the compiled kernels split their work over disjoint output
+variable): the compiled kernel splits its work over disjoint output
 rows, bit-identical to the serial pass for any count.
 """
 
@@ -53,7 +49,6 @@ from .coeffs import (
     eval_coefficients,
     family_coefficients,
 )
-from .numba_kernels import numba_available
 from .tiled import (
     TiledBatchedCoupling,
     TiledSingleCoupling,
@@ -87,7 +82,7 @@ __all__ = [
 ]
 
 #: names accepted by the ``kernel=`` knobs
-KERNELS = ("auto", "numpy", "tiled", "numba", "cc")
+KERNELS = ("auto", "numpy", "tiled", "cc")
 
 #: edge count from which "auto" prefers the tiled over the plain NumPy
 #: path when no compiled kernel is available (below it the single
@@ -108,8 +103,7 @@ def resolve_threads(threads: int | None = None) -> int:
     *call* time, never cached at import, so the executor's worker
     initializer can pin it after fork.  The count only steers wall
     clock: the compiled kernels are bit-identical for any value, and
-    silently run serial when the binary lacks OpenMP (``cc``) or numba
-    is capped (``NUMBA_NUM_THREADS``).
+    silently run serial when the binary lacks OpenMP.
     """
     if threads is not None:
         t = int(threads)
@@ -153,12 +147,13 @@ def normalize_kernel_name(name: str | None) -> str:
 
 
 def compiled_kernel_name() -> str | None:
-    """The preferred available compiled kernel, or ``None``."""
-    if numba_available():
-        return "numba"
-    if cc_available():
-        return "cc"
-    return None
+    """The available compiled kernel, or ``None``."""
+    return "cc" if cc_available() else None
+
+
+def numba_available() -> bool:
+    """Always ``False``: no JIT kernel ships; kept for host reports."""
+    return False
 
 
 _warned_coefficient_fallback = False
@@ -213,25 +208,11 @@ def resolve_kernel(name: str | None, *, has_coefficients: bool, n_edges: int) ->
         if not has_coefficients and compiled_kernel_name() is not None:
             _warn_coefficient_fallback(fallback)
         return fallback
-    if key == "numba":
-        if not numba_available():
-            raise RuntimeError(
-                'kernel "numba" requested but numba is not installed; '
-                "install the fast extra (pip install -e .[fast]) or use "
-                'kernel="cc"/"tiled"/"auto"'
-            )
-        if not has_coefficients:
-            raise ValueError(
-                'kernel "numba" requires potentials with kernel '
-                "coefficients (the shipped tanh/bottleneck/kuramoto/"
-                "linear families); custom potentials need "
-                'kernel="tiled" or "numpy"'
-            )
     if key == "cc":
         if not cc_available():
             raise RuntimeError(
                 'kernel "cc" requested but no working C compiler was '
-                'found; use kernel="numba"/"tiled"/"auto"'
+                'found; use kernel="tiled"/"numpy"/"auto"'
             )
         if not has_coefficients:
             raise ValueError(

@@ -185,31 +185,6 @@ static void fused_span(const int32_t *rows, const int32_t *cols,
         out[i] *= vp;
 }
 
-/* Fused coupling for one (N,) state.  out[i] = vp * sum_e V(d_e) over
- * the rows, accumulated in row-major edge order (== np.bincount). */
-void pom_fused_single(const int32_t *rows, const int32_t *cols,
-                      int64_t n_edges, const double *theta, double *out,
-                      int64_t n, int64_t kind, double p0, double p1,
-                      double vp, double *sd, double *sv, int64_t block,
-                      int64_t threads) {
-#ifdef _OPENMP
-    if (threads > 1) {
-#pragma omp parallel num_threads((int)threads)
-        {
-            int64_t nt = (int64_t)omp_get_num_threads();
-            int64_t tid = (int64_t)omp_get_thread_num();
-            fused_span(rows, cols, n_edges, theta, out, n * tid / nt,
-                       n * (tid + 1) / nt, kind, p0, p1, vp,
-                       sd + tid * block, sv + tid * block, block);
-        }
-        return;
-    }
-#endif
-    (void)threads;
-    fused_span(rows, cols, n_edges, theta, out, 0, n, kind, p0, p1, vp,
-               sd, sv, block);
-}
-
 /* Fused coupling for a stacked (R, N) super-state with per-member
  * potential coefficients and coupling strengths.  The parallel path
  * flattens (member, row-chunk) work items so small-R stacks still fill
@@ -299,29 +274,6 @@ static void ring_chunk(const int64_t *offsets, int64_t n_offsets,
         out[i] *= vp;
 }
 
-void pom_fused_ring_single(const int64_t *offsets, int64_t n_offsets,
-                           const double *theta, double *out, int64_t n,
-                           int64_t kind, double p0, double p1, double vp,
-                           double *sd, double *sv, int64_t block,
-                           int64_t threads) {
-#ifdef _OPENMP
-    if (threads > 1) {
-#pragma omp parallel num_threads((int)threads)
-        {
-            int64_t nt = (int64_t)omp_get_num_threads();
-            int64_t tid = (int64_t)omp_get_thread_num();
-            ring_chunk(offsets, n_offsets, theta, out, n, n * tid / nt,
-                       n * (tid + 1) / nt, kind, p0, p1, vp,
-                       sd + tid * block, sv + tid * block, block);
-        }
-        return;
-    }
-#endif
-    (void)threads;
-    ring_chunk(offsets, n_offsets, theta, out, n, 0, n, kind, p0, p1, vp,
-               sd, sv, block);
-}
-
 void pom_fused_ring_batched(const int64_t *offsets, int64_t n_offsets,
                             const double *theta, double *out,
                             int64_t r_count, int64_t n, const int64_t *kinds,
@@ -394,31 +346,6 @@ static void torus_chunk(const int64_t *col_offs, int64_t n_col,
     }
     for (i = i0; i < i1; ++i)
         out[i] *= vp;
-}
-
-void pom_fused_torus_single(const int64_t *col_offs, int64_t n_col,
-                            const int64_t *row_dxs, int64_t n_dx,
-                            int64_t w, const double *theta, double *out,
-                            int64_t n, int64_t kind, double p0, double p1,
-                            double vp, double *sd, double *sv,
-                            int64_t block, int64_t threads) {
-    int64_t h = n / w;
-#ifdef _OPENMP
-    if (threads > 1) {
-#pragma omp parallel num_threads((int)threads)
-        {
-            int64_t nt = (int64_t)omp_get_num_threads();
-            int64_t tid = (int64_t)omp_get_thread_num();
-            torus_chunk(col_offs, n_col, row_dxs, n_dx, w, theta, out, n,
-                        h * tid / nt, h * (tid + 1) / nt, kind, p0, p1, vp,
-                        sd + tid * block, sv + tid * block, block);
-        }
-        return;
-    }
-#endif
-    (void)threads;
-    torus_chunk(col_offs, n_col, row_dxs, n_dx, w, theta, out, n, 0, h,
-                kind, p0, p1, vp, sd, sv, block);
 }
 
 void pom_fused_torus_batched(const int64_t *col_offs, int64_t n_col,
@@ -573,31 +500,23 @@ def _build(path: str) -> bool:
 
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
-    i32p = ctypes.POINTER(ctypes.c_int32)
+    # Pointers travel as plain addresses (``ndarray.ctypes.data``):
+    # building a typed ``POINTER`` per argument costs twice as much, and
+    # these calls sit on the per-RHS-evaluation hot path.
     i64 = ctypes.c_int64
-    i64p = ctypes.POINTER(ctypes.c_int64)
-    f64 = ctypes.c_double
-    f64p = ctypes.POINTER(ctypes.c_double)
-    edge = [i32p, i32p, i64, f64p, f64p]
-    ring = [i64p, i64, f64p, f64p]
-    torus = [i64p, i64, i64p, i64, i64, f64p, f64p]
-    single = [i64, i64, f64, f64, f64]
-    batched = [i64, i64, i64p, f64p, f64p, f64p]
-    scratch = [f64p, f64p, i64, i64]
+    ptr = ctypes.c_void_p
+    tail = [i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, i64, i64]
+    heads = {
+        "pom_fused_batched": [ptr, ptr, i64, ptr, ptr],
+        "pom_fused_ring_batched": [ptr, i64, ptr, ptr],
+        "pom_fused_torus_batched": [ptr, i64, ptr, i64, i64, ptr, ptr],
+    }
     lib.pom_openmp_available.restype = i64
     lib.pom_openmp_available.argtypes = []
-    lib.pom_fused_single.restype = None
-    lib.pom_fused_single.argtypes = edge + single + scratch
-    lib.pom_fused_batched.restype = None
-    lib.pom_fused_batched.argtypes = edge + batched + scratch
-    lib.pom_fused_ring_single.restype = None
-    lib.pom_fused_ring_single.argtypes = ring + single + scratch
-    lib.pom_fused_ring_batched.restype = None
-    lib.pom_fused_ring_batched.argtypes = ring + batched + scratch
-    lib.pom_fused_torus_single.restype = None
-    lib.pom_fused_torus_single.argtypes = torus + single + scratch
-    lib.pom_fused_torus_batched.restype = None
-    lib.pom_fused_torus_batched.argtypes = torus + batched + scratch
+    for name, head in heads.items():
+        fn = getattr(lib, name)
+        fn.restype = None
+        fn.argtypes = head + tail
     return lib
 
 
@@ -638,18 +557,6 @@ def openmp_available() -> bool:
     return bool(lib is not None and lib.pom_openmp_available())
 
 
-def _f64p(a: np.ndarray):
-    return a.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
-
-
-def _i32p(a: np.ndarray):
-    return a.ctypes.data_as(ctypes.POINTER(ctypes.c_int32))
-
-
-def _i64p(a: np.ndarray):
-    return a.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
-
-
 def _aligned_empty(n: int) -> np.ndarray:
     """A float64 scratch array on a 64-byte boundary.
 
@@ -678,6 +585,7 @@ class _Scratch:
         self.threads = threads
         self.sd = _aligned_empty(threads * BLOCK_EDGES)
         self.sv = _aligned_empty(threads * BLOCK_EDGES)
+        self.addresses = (self.sd.ctypes.data, self.sv.ctypes.data)
 
 
 _tls = threading.local()
@@ -765,36 +673,34 @@ def torus_halo(
     )
 
 
-def fused_single(
-    rows32: np.ndarray,
-    cols32: np.ndarray,
+def _call(
+    fn,
+    head: tuple,
     theta: np.ndarray,
     out: np.ndarray,
-    kind: int,
-    p0: float,
-    p1: float,
-    vp_over_n: float,
-    threads: int = 1,
+    kinds: np.ndarray,
+    p0: np.ndarray,
+    p1: np.ndarray,
+    vp_over_n: np.ndarray,
+    threads: int,
 ) -> np.ndarray:
-    """Coupling term for one contiguous ``(N,)`` state into ``out``."""
-    lib = load_library()
+    """Run one batched entry point on a contiguous ``(R, N)`` stack."""
     threads = _clamp_threads(threads)
     scratch = _scratch_buffers(threads)
-    lib.pom_fused_single(
-        _i32p(rows32),
-        _i32p(cols32),
-        ctypes.c_int64(rows32.size),
-        _f64p(theta),
-        _f64p(out),
-        ctypes.c_int64(theta.size),
-        ctypes.c_int64(kind),
-        ctypes.c_double(p0),
-        ctypes.c_double(p1),
-        ctypes.c_double(vp_over_n),
-        _f64p(scratch.sd),
-        _f64p(scratch.sv),
-        ctypes.c_int64(BLOCK_EDGES),
-        ctypes.c_int64(threads),
+    r, n = theta.shape
+    fn(
+        *head,
+        theta.ctypes.data,
+        out.ctypes.data,
+        r,
+        n,
+        kinds.ctypes.data,
+        p0.ctypes.data,
+        p1.ctypes.data,
+        vp_over_n.ctypes.data,
+        *scratch.addresses,
+        BLOCK_EDGES,
+        threads,
     )
     return out
 
@@ -811,27 +717,74 @@ def fused_batched(
     threads: int = 1,
 ) -> np.ndarray:
     """Coupling terms for a contiguous ``(R, N)`` super-state into ``out``."""
-    lib = load_library()
-    threads = _clamp_threads(threads)
-    scratch = _scratch_buffers(threads)
-    r, n = theta.shape
-    lib.pom_fused_batched(
-        _i32p(rows32),
-        _i32p(cols32),
-        ctypes.c_int64(rows32.size),
-        _f64p(theta),
-        _f64p(out),
-        ctypes.c_int64(r),
-        ctypes.c_int64(n),
-        _i64p(kinds),
-        _f64p(p0),
-        _f64p(p1),
-        _f64p(vp_over_n),
-        _f64p(scratch.sd),
-        _f64p(scratch.sv),
-        ctypes.c_int64(BLOCK_EDGES),
-        ctypes.c_int64(threads),
+    head = (rows32.ctypes.data, cols32.ctypes.data, rows32.size)
+    fn = load_library().pom_fused_batched
+    return _call(fn, head, theta, out, kinds, p0, p1, vp_over_n, threads)
+
+
+def ring_batched(
+    offsets: np.ndarray,
+    theta: np.ndarray,
+    out: np.ndarray,
+    kinds: np.ndarray,
+    p0: np.ndarray,
+    p1: np.ndarray,
+    vp_over_n: np.ndarray,
+    threads: int = 1,
+) -> np.ndarray:
+    """Distance-ring coupling for an ``(R, N)`` super-state into ``out``."""
+    head = (offsets.ctypes.data, offsets.size)
+    fn = load_library().pom_fused_ring_batched
+    return _call(fn, head, theta, out, kinds, p0, p1, vp_over_n, threads)
+
+
+def torus_batched(
+    halo: tuple[int, np.ndarray, np.ndarray],
+    theta: np.ndarray,
+    out: np.ndarray,
+    kinds: np.ndarray,
+    p0: np.ndarray,
+    p1: np.ndarray,
+    vp_over_n: np.ndarray,
+    threads: int = 1,
+) -> np.ndarray:
+    """2-D torus halo coupling for an ``(R, N)`` super-state into ``out``.
+
+    ``halo`` is the ``(w, col_offsets, row_dxs)`` decomposition from
+    :func:`torus_halo`.
+    """
+    w, col_offsets, row_dxs = halo
+    head = (col_offsets.ctypes.data, col_offsets.size, row_dxs.ctypes.data)
+    head += (row_dxs.size, w)
+    fn = load_library().pom_fused_torus_batched
+    return _call(fn, head, theta, out, kinds, p0, p1, vp_over_n, threads)
+
+
+# One-state forms: the batched entry points at R=1, which are
+# bit-identical to a dedicated single-state kernel.
+def _one_member(kind: int, p0: float, p1: float, vp_over_n: float) -> tuple:
+    return (
+        np.array([kind], dtype=np.int64),
+        np.array([p0], dtype=float),
+        np.array([p1], dtype=float),
+        np.array([vp_over_n], dtype=float),
     )
+
+
+def fused_single(
+    rows32: np.ndarray,
+    cols32: np.ndarray,
+    theta: np.ndarray,
+    out: np.ndarray,
+    kind: int,
+    p0: float,
+    p1: float,
+    vp_over_n: float,
+    threads: int = 1,
+) -> np.ndarray:
+    """Coupling term for one contiguous ``(N,)`` state into ``out``."""
+    coeffs = _one_member(kind, p0, p1, vp_over_n)
+    fused_batched(rows32, cols32, theta[None], out[None], *coeffs, threads=threads)
     return out
 
 
@@ -846,58 +799,8 @@ def ring_single(
     threads: int = 1,
 ) -> np.ndarray:
     """Distance-ring coupling for one ``(N,)`` state into ``out``."""
-    lib = load_library()
-    threads = _clamp_threads(threads)
-    scratch = _scratch_buffers(threads)
-    lib.pom_fused_ring_single(
-        _i64p(offsets),
-        ctypes.c_int64(offsets.size),
-        _f64p(theta),
-        _f64p(out),
-        ctypes.c_int64(theta.size),
-        ctypes.c_int64(kind),
-        ctypes.c_double(p0),
-        ctypes.c_double(p1),
-        ctypes.c_double(vp_over_n),
-        _f64p(scratch.sd),
-        _f64p(scratch.sv),
-        ctypes.c_int64(BLOCK_EDGES),
-        ctypes.c_int64(threads),
-    )
-    return out
-
-
-def ring_batched(
-    offsets: np.ndarray,
-    theta: np.ndarray,
-    out: np.ndarray,
-    kinds: np.ndarray,
-    p0: np.ndarray,
-    p1: np.ndarray,
-    vp_over_n: np.ndarray,
-    threads: int = 1,
-) -> np.ndarray:
-    """Distance-ring coupling for an ``(R, N)`` super-state into ``out``."""
-    lib = load_library()
-    threads = _clamp_threads(threads)
-    scratch = _scratch_buffers(threads)
-    r, n = theta.shape
-    lib.pom_fused_ring_batched(
-        _i64p(offsets),
-        ctypes.c_int64(offsets.size),
-        _f64p(theta),
-        _f64p(out),
-        ctypes.c_int64(r),
-        ctypes.c_int64(n),
-        _i64p(kinds),
-        _f64p(p0),
-        _f64p(p1),
-        _f64p(vp_over_n),
-        _f64p(scratch.sd),
-        _f64p(scratch.sv),
-        ctypes.c_int64(BLOCK_EDGES),
-        ctypes.c_int64(threads),
-    )
+    coeffs = _one_member(kind, p0, p1, vp_over_n)
+    ring_batched(offsets, theta[None], out[None], *coeffs, threads=threads)
     return out
 
 
@@ -911,69 +814,7 @@ def torus_single(
     vp_over_n: float,
     threads: int = 1,
 ) -> np.ndarray:
-    """2-D torus halo coupling for one ``(N,)`` state into ``out``.
-
-    ``halo`` is the ``(w, col_offsets, row_dxs)`` decomposition from
-    :func:`torus_halo`.
-    """
-    w, col_offsets, row_dxs = halo
-    lib = load_library()
-    threads = _clamp_threads(threads)
-    scratch = _scratch_buffers(threads)
-    lib.pom_fused_torus_single(
-        _i64p(col_offsets),
-        ctypes.c_int64(col_offsets.size),
-        _i64p(row_dxs),
-        ctypes.c_int64(row_dxs.size),
-        ctypes.c_int64(w),
-        _f64p(theta),
-        _f64p(out),
-        ctypes.c_int64(theta.size),
-        ctypes.c_int64(kind),
-        ctypes.c_double(p0),
-        ctypes.c_double(p1),
-        ctypes.c_double(vp_over_n),
-        _f64p(scratch.sd),
-        _f64p(scratch.sv),
-        ctypes.c_int64(BLOCK_EDGES),
-        ctypes.c_int64(threads),
-    )
-    return out
-
-
-def torus_batched(
-    halo: tuple[int, np.ndarray, np.ndarray],
-    theta: np.ndarray,
-    out: np.ndarray,
-    kinds: np.ndarray,
-    p0: np.ndarray,
-    p1: np.ndarray,
-    vp_over_n: np.ndarray,
-    threads: int = 1,
-) -> np.ndarray:
-    """2-D torus halo coupling for an ``(R, N)`` super-state into ``out``."""
-    w, col_offsets, row_dxs = halo
-    lib = load_library()
-    threads = _clamp_threads(threads)
-    scratch = _scratch_buffers(threads)
-    r, n = theta.shape
-    lib.pom_fused_torus_batched(
-        _i64p(col_offsets),
-        ctypes.c_int64(col_offsets.size),
-        _i64p(row_dxs),
-        ctypes.c_int64(row_dxs.size),
-        ctypes.c_int64(w),
-        _f64p(theta),
-        _f64p(out),
-        ctypes.c_int64(r),
-        ctypes.c_int64(n),
-        _i64p(kinds),
-        _f64p(p0),
-        _f64p(p1),
-        _f64p(vp_over_n),
-        _f64p(scratch.sd),
-        _f64p(scratch.sv),
-        ctypes.c_int64(BLOCK_EDGES),
-        ctypes.c_int64(threads),
-    )
+    """2-D torus halo coupling for one ``(N,)`` state into ``out``."""
+    coeffs = _one_member(kind, p0, p1, vp_over_n)
+    torus_batched(halo, theta[None], out[None], *coeffs, threads=threads)
     return out

@@ -10,8 +10,7 @@ inside one block, in the same row-major edge order as the un-tiled
 ``np.bincount`` — the results are bit-identical to the plain NumPy path
 for any potential, including :class:`~repro.core.potentials.CustomPotential`
 (the potential is still an arbitrary Python callable here, which is what
-makes this the universal fallback when numba and a C compiler are both
-unavailable).
+makes this the universal fallback when no C compiler is available).
 """
 
 from __future__ import annotations
@@ -74,34 +73,6 @@ class TilePlan:
         return len(self.blocks)
 
 
-class TiledSingleCoupling:
-    """Blocked coupling evaluator for one ``(N,)`` state."""
-
-    def __init__(
-        self,
-        topology,
-        potential: Callable,
-        vp_over_n: float,
-        block_edges: int = BLOCK_EDGES,
-    ) -> None:
-        indptr, _ = topology.csr()
-        self._rows, self._cols = topology.edge_list()
-        self.plan = TilePlan(indptr, self._rows, topology.n, block_edges)
-        self._potential = potential
-        self._vp_over_n = float(vp_over_n)
-
-    def __call__(self, theta: np.ndarray) -> np.ndarray:
-        acc = np.zeros(self.plan.n)
-        cols = self._cols
-        pot = self._potential
-        for e0, e1, r0, r1, local in self.plan.blocks:
-            d = theta[cols[e0:e1]] - theta[self._rows[e0:e1]]
-            v = np.asarray(pot(d), dtype=float)
-            acc[r0:r1] += np.bincount(local, weights=v, minlength=r1 - r0)
-        acc *= self._vp_over_n
-        return acc
-
-
 class TiledBatchedCoupling:
     """Blocked coupling evaluator for a stacked ``(R, N)`` super-state.
 
@@ -153,6 +124,23 @@ class TiledBatchedCoupling:
             acc[:, r0:r1] += seg.reshape(self._r, r1 - r0)
         acc *= self._vps
         return acc
+
+
+class TiledSingleCoupling(TiledBatchedCoupling):
+    """Blocked coupling evaluator for one ``(N,)`` state (R=1)."""
+
+    def __init__(
+        self,
+        topology,
+        potential: Callable,
+        vp_over_n: float,
+        block_edges: int = BLOCK_EDGES,
+    ) -> None:
+        vps = np.array([[float(vp_over_n)]])
+        super().__init__(topology, potential, vps, 1, block_edges)
+
+    def __call__(self, theta: np.ndarray) -> np.ndarray:
+        return super().__call__(theta[None])[0]
 
 
 class TiledStackedCoupling:

@@ -1,7 +1,7 @@
 """Equivalence and selection tests for the RHS compute backends.
 
 The dense backend is the ground truth (it is the original
-implementation); the sparse edge-list and batched kernels must agree
+implementation); the edge-list backend, at R=1 and stacked, must agree
 with it to machine precision on every shipped topology factory and
 potential, including the delayed (DDE) path.
 """
@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 from repro.backends import (
     SPARSE_DENSITY_THRESHOLD,
-    BatchedBackend,
     DenseBackend,
+    HeteroBatchedBackend,
     auto_backend_name,
     available_backends,
-    make_backend,
+    make_batched_backend,
 )
 from repro.core import (
     BottleneckPotential,
@@ -85,7 +85,7 @@ class TestSparseMatchesDense:
                            local_noise=GaussianJitter(std=0.02, refresh=0.5))
         seeds = range(5)
         members = [model.realize(10.0, rng=s) for s in seeds]
-        stacked = BatchedBackend(members)
+        stacked = HeteroBatchedBackend(members)
         thetas = np.random.default_rng(1).normal(0.0, 2.0,
                                                  (len(members), model.n))
         got = stacked.rhs(1.3, thetas)
@@ -124,7 +124,7 @@ class TestDelayedPathEquivalence:
                                lo=0.0, hi=0.3, refresh=1.0))
         seeds = (0, 1, 2)
         members = [model.realize(10.0, rng=s) for s in seeds]
-        stacked = BatchedBackend(members)
+        stacked = HeteroBatchedBackend(members)
         assert stacked.has_delays
 
         rng = np.random.default_rng(4)
@@ -135,18 +135,20 @@ class TestDelayedPathEquivalence:
                         f=rng.normal(0, 0.1, (r, n)))
         thetas = rng.normal(0, 1, (r, n))
         got = stacked.coupling(1.2, thetas, hist)
+        np.testing.assert_allclose(
+            got, DenseBackend(members).coupling(1.2, thetas, hist), **TIGHT)
         for i, m in enumerate(members):
-            # Per-member reference through the dense kernel on the
-            # member's own slice of the batched history.
-            dense = DenseBackend(m)
+            # Per-member R=1 dense reference on the member's own slice
+            # of the batched history.
+            dense = DenseBackend([m])
 
             class _Slice:
                 def __call__(self, t, _i=i):
-                    return hist(t)[_i]
+                    return hist(t)[_i:_i + 1]
 
-            np.testing.assert_allclose(got[i],
-                                       dense.coupling(1.2, thetas[i],
-                                                      _Slice()), **TIGHT)
+            np.testing.assert_allclose(
+                got[i], dense.coupling(1.2, thetas[i:i + 1], _Slice())[0],
+                **TIGHT)
 
     def test_one_off_delays_equivalent(self):
         model = make_model(
@@ -206,7 +208,7 @@ class TestSelection:
         model = make_model(ring(8, (1, -1)), TanhPotential())
         realized = model.realize(5.0, rng=0)
         with pytest.raises(ValueError, match="unknown backend"):
-            make_backend(realized, "fancy")
+            make_batched_backend([realized], "fancy")
 
     def test_describe_reports_backend(self):
         model = make_model(ring(8, (1, -1)), TanhPotential())
@@ -248,70 +250,40 @@ class TestTopologyViews:
 class TestBatchedBackendValidation:
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            BatchedBackend([])
+            make_batched_backend([])
 
     def test_mismatched_n_rejected(self):
         a = make_model(ring(8, (1, -1)), TanhPotential()).realize(5.0, rng=0)
         b = make_model(ring(10, (1, -1)), TanhPotential()).realize(5.0, rng=0)
-        with pytest.raises(ValueError, match="disagree on N"):
-            BatchedBackend([a, b])
-
-    def test_mismatched_period_rejected(self):
-        a = make_model(ring(8, (1, -1)), TanhPotential(),
-                       v_p_override=2.0).realize(5.0, rng=0)
-        b = make_model(ring(8, (1, -1)), TanhPotential(), t_comp=0.5,
-                       v_p_override=2.0).realize(5.0, rng=0)
-        with pytest.raises(ValueError, match="period"):
-            BatchedBackend([a, b])
-
-    def test_mismatched_topology_rejected(self):
-        a = make_model(ring(8, (1, -1)), TanhPotential(),
-                       v_p_override=2.0).realize(5.0, rng=0)
-        b = make_model(chain(8, (1, -1)), TanhPotential(),
-                       v_p_override=2.0).realize(5.0, rng=0)
-        with pytest.raises(ValueError, match="topology"):
-            BatchedBackend([a, b])
-
-    def test_mismatched_potential_rejected(self):
-        a = make_model(ring(8, (1, -1)), TanhPotential()).realize(5.0, rng=0)
-        b = make_model(ring(8, (1, -1)),
-                       BottleneckPotential(sigma=1.0)).realize(5.0, rng=0)
-        with pytest.raises(ValueError, match="potential"):
-            BatchedBackend([a, b])
-
-    def test_mismatched_delay_schedule_rejected(self):
-        # intrinsic_frequency broadcasts member 0's schedule, so a
-        # member without the delay must not batch silently.
-        a = make_model(ring(8, (1, -1)), TanhPotential(),
-                       delays=(OneOffDelay(rank=2, t_start=1.0,
-                                           delay=2.0),)).realize(5.0, rng=0)
-        b = make_model(ring(8, (1, -1)),
-                       TanhPotential()).realize(5.0, rng=0)
-        with pytest.raises(ValueError, match="delay schedule"):
-            BatchedBackend([a, b])
+        for backend in ("sparse", "dense"):
+            with pytest.raises(ValueError, match="disagree on N"):
+                make_batched_backend([a, b], backend)
 
     def test_shared_delay_schedule_accepted_and_applied(self):
         model = make_model(ring(8, (1, -1)), TanhPotential(),
                            delays=(OneOffDelay(rank=2, t_start=1.0,
                                                delay=2.0),))
         members = [model.realize(5.0, rng=s) for s in range(3)]
-        stacked = BatchedBackend(members)
+        stacked = make_batched_backend(members)
         freq = stacked.intrinsic_frequency(1.5)    # inside the stall
         assert np.all(freq[:, 2] == 0.0)
         assert np.all(freq[:, [0, 1, 3]] > 0.0)
 
     def test_equal_models_accepted_without_shared_objects(self):
-        # Two separately-constructed but identical models batch fine.
+        # Two separately-constructed but identical models batch into
+        # one potential group.
         a = make_model(ring(8, (1, -1)), TanhPotential()).realize(5.0, rng=0)
         b = make_model(ring(8, (1, -1)), TanhPotential()).realize(5.0, rng=1)
-        assert BatchedBackend([a, b]).n_members == 2
+        stacked = make_batched_backend([a, b])
+        assert stacked.n_members == 2
+        assert stacked.describe()["potential_groups"] == 1
 
     def test_single_state_backend_compiles_lazily(self):
         # The batched path stacks many realisations and never touches
-        # their single-state backends — they must not be compiled.
+        # their own R=1 backends — they must not be compiled.
         model = make_model(ring(8, (1, -1)), TanhPotential())
         members = [model.realize(5.0, rng=s) for s in range(3)]
-        BatchedBackend(members)
+        make_batched_backend(members)
         assert all(m._backend is None for m in members)
         members[0].rhs(0.0, np.zeros(8))   # first use compiles
         assert members[0]._backend is not None
@@ -320,7 +292,7 @@ class TestBatchedBackendValidation:
         model = make_model(ring(8, (1, -1)), TanhPotential(),
                            local_noise=GaussianJitter(std=0.01, refresh=0.5))
         members = [model.realize(5.0, rng=s) for s in range(3)]
-        stacked = BatchedBackend(members)
+        stacked = make_batched_backend(members)
         assert stacked._zeta_stack is not None
         got = stacked.intrinsic_frequency(1.3)
         ref = np.stack([m.intrinsic_frequency(1.3) for m in members])

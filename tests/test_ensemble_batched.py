@@ -16,6 +16,7 @@ from repro.core import (
     GaussianJitter,
     PhysicalOscillatorModel,
     TanhPotential,
+    all_to_all,
     random_phases,
     ring,
     run_ensemble,
@@ -158,6 +159,30 @@ class TestBatchedEnsembleRegression:
         )
         with pytest.raises(ValueError, match="GaussianJitter"):
             simulate_batched(model, 2.0, seeds=(0, 1), method="em", dt=0.01)
+
+    @pytest.mark.parametrize("backend", ["dense", None])
+    def test_backend_request_honoured(self, backend):
+        # An explicit "dense" request, and "auto" on a dense topology,
+        # must reach the stacked solve exactly as they reach simulate —
+        # the edge-list kernel differs from the matrix one in the last
+        # bits, so a silently swapped backend shows here.
+        model = PhysicalOscillatorModel(
+            topology=all_to_all(16), potential=TanhPotential(),
+            t_comp=0.9, t_comm=0.1, v_p_override=2.0)
+        theta0 = random_phases(16, spread=1.0, rng=3)
+        single = simulate(model, 4.0, theta0=theta0, seed=5, method="rk4",
+                          backend=backend)
+        batched = simulate_batched(model, 4.0, seeds=[5], method="rk4",
+                                   theta0_factory=lambda s: theta0,
+                                   backend=backend)[0]
+        np.testing.assert_array_equal(batched.thetas, single.thetas)
+        seq = run_ensemble(model, 4.0, METRICS, seeds=(5, 6), method="rk4",
+                           theta0_factory=lambda s: theta0, backend=backend)
+        bat = run_ensemble(model, 4.0, METRICS, seeds=(5, 6), method="rk4",
+                           theta0_factory=lambda s: theta0, backend=backend,
+                           batched=True)
+        for name in METRICS:
+            np.testing.assert_array_equal(bat.values[name], seq.values[name])
 
     def test_empty_seed_list_rejected(self):
         model = noisy_model()

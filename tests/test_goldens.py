@@ -167,14 +167,14 @@ def _solved(cid: str) -> dict[str, str]:
 
 @pytest.mark.parametrize("cid", [c for c, _ in CASES])
 def test_cross_path_identities(cid):
-    """Edge-list entry points agree bit for bit on every host."""
+    """Entry points sharing a backend agree bit for bit on every host."""
     got = _solved(cid)
     assert got["simulate_grid"] == got["run_plan"]
+    assert got["simulate_batched"] == got["simulate"]
     if not cid.startswith("all_to_all"):
         # backend "auto" picks the edge-list kernel here, like the
         # grid paths always do
         assert got["simulate"] == got["simulate_grid"]
-        assert got["simulate_batched"] == got["simulate"]
 
 
 def test_pins_unchanged():

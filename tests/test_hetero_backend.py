@@ -1,16 +1,16 @@
 """Equivalence and validation tests for the heterogeneous batched backend.
 
 Each row of a :class:`HeteroBatchedBackend` evaluation must match the
-corresponding single-member backend to machine precision even when the
-members disagree on ``v_p``, period, potential, noise realisation, and
-one-off delay schedule — only the topology is shared.
+corresponding single-member (R=1) evaluation to machine precision even
+when the members disagree on ``v_p``, period, potential, noise
+realisation, and one-off delay schedule.
 """
 
 import numpy as np
 import pytest
 
 from repro.backends import (
-    BatchedBackend,
+    DenseBackend,
     HeteroBatchedBackend,
     make_batched_backend,
 )
@@ -21,6 +21,7 @@ from repro.core import (
     PhysicalOscillatorModel,
     RandomInteractionNoise,
     TanhPotential,
+    all_to_all,
     chain,
     ring,
 )
@@ -174,43 +175,51 @@ class TestHeteroValidation:
 
     def test_mixed_same_n_topologies_accepted(self):
         # Same-N mixed topologies are a supported machine-design batch
-        # (topology-axis fusion); only the homogeneous BatchedBackend
-        # contract rejects them.
+        # (topology-axis fusion), on both backends.
         a = make_model(topology=ring(8, (1, -1))).realize(5.0, rng=0)
         b = make_model(topology=chain(8, (1, -1))).realize(5.0, rng=0)
         backend = HeteroBatchedBackend([a, b], kernel="numpy")
         assert backend.describe()["mixed_topologies"]
-        with pytest.raises(ValueError, match="topology"):
-            BatchedBackend([a, b])
+        thetas = np.random.default_rng(1).normal(0.0, 1.0, (2, 8))
+        np.testing.assert_allclose(
+            backend.coupling(0.0, thetas),
+            DenseBackend([a, b]).coupling(0.0, thetas), **TIGHT)
 
     def test_hetero_accepts_what_batched_rejects(self):
+        # Members of different models (a v_p grid, not a seed ensemble)
+        # stack into one backend.
         topo = ring(8, (1, -1))
         a = make_model(topology=topo, v_p_override=1.0).realize(5.0, rng=0)
         b = make_model(topology=topo, v_p_override=4.0).realize(5.0, rng=0)
-        with pytest.raises(ValueError, match="v_p"):
-            BatchedBackend([a, b])
         assert HeteroBatchedBackend([a, b]).n_members == 2
 
 
 class TestBatchedBackendFactory:
-    def test_auto_prefers_strict_batched_for_ensembles(self):
-        model = make_model()
-        members = [model.realize(5.0, rng=s) for s in range(3)]
-        assert make_batched_backend(members).name == "batched"
-
     def test_auto_falls_back_to_hetero_for_grids(self):
-        topo = ring(8, (1, -1))
+        topo = ring(16, (1, -1))
         members = [
             make_model(topology=topo, v_p_override=v).realize(5.0, rng=0)
             for v in (0.5, 2.0)
         ]
-        assert make_batched_backend(members).name == "hetero"
+        backend = make_batched_backend(members)
+        assert type(backend) is HeteroBatchedBackend
+        assert backend.name == "sparse"
+
+    def test_auto_picks_dense_only_when_every_member_is_dense(self):
+        dense = make_model(topology=all_to_all(8)).realize(5.0, rng=0)
+        sparse = make_model(topology=ring(8, (1,))).realize(5.0, rng=0)
+        assert make_batched_backend([dense, dense]).name == "dense"
+        assert make_batched_backend([dense, sparse]).name == "sparse"
+        # an explicit kernel or thread count asks for the edge-list path
+        assert make_batched_backend([dense], kernel="numpy").name == "sparse"
+        assert make_batched_backend([dense], threads=1).name == "sparse"
 
     def test_explicit_name(self):
         model = make_model()
         members = [model.realize(5.0, rng=s) for s in range(2)]
-        assert make_batched_backend(members, "hetero").name == "hetero"
-        with pytest.raises(ValueError, match="unknown batched backend"):
+        assert make_batched_backend(members, "sparse").name == "sparse"
+        assert make_batched_backend(members, "dense").name == "dense"
+        with pytest.raises(ValueError, match="unknown backend"):
             make_batched_backend(members, "gpu")
 
     def test_empty_members_rejected(self):

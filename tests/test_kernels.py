@@ -2,9 +2,9 @@
 
 Every selectable kernel must produce the same coupling term (to ~1e-12)
 as the reference NumPy edge-list path, on ring/torus/random topologies,
-for the single-state, homogeneous-batched, and heterogeneous-batched
-backends — including the ``CustomPotential`` per-group fallback that the
-coefficient-based compiled kernels cannot express.
+for single states (R=1 stacks), seed ensembles and heterogeneous grids —
+including the ``CustomPotential`` per-group fallback that the
+coefficient-based compiled kernel cannot express.
 """
 
 from __future__ import annotations
@@ -13,12 +13,7 @@ import numpy as np
 import pytest
 
 from repro import kernels
-from repro.backends import (
-    BatchedBackend,
-    HeteroBatchedBackend,
-    make_backend,
-    make_batched_backend,
-)
+from repro.backends import HeteroBatchedBackend, make_batched_backend
 from repro.core import (
     BottleneckPotential,
     CustomPotential,
@@ -39,13 +34,10 @@ from repro.kernels.coeffs import eval_coefficients, family_coefficients
 
 needs_cc = pytest.mark.skipif(not kernels.cc_available(),
                               reason="no working C compiler")
-needs_numba = pytest.mark.skipif(not kernels.numba_available(),
-                                 reason="numba not installed")
 
 def _kernel_params():
     params = [pytest.param("numpy", id="numpy"), pytest.param("tiled", id="tiled")]
     params.append(pytest.param("cc", id="cc", marks=needs_cc))
-    params.append(pytest.param("numba", id="numba", marks=needs_numba))
     return params
 
 
@@ -70,28 +62,32 @@ def _model(topo, pot, **kw):
                                    t_comp=0.9, t_comm=0.1, **kw)
 
 
+def _coupling_r1(model, kernel, theta):
+    """Coupling term of one state through the edge-list backend at R=1."""
+    realized = model.realize(5.0, rng=0, backend="sparse", kernel=kernel)
+    return realized.coupling_term(0.0, theta)
+
+
 # ----------------------------------------------------------------------
 # registry / resolution
 # ----------------------------------------------------------------------
 class TestResolution:
     def test_available_names(self):
-        assert kernels.available_kernels() == (
-            "auto", "numpy", "tiled", "numba", "cc")
+        assert kernels.available_kernels() == ("auto", "numpy", "tiled", "cc")
 
     def test_unknown_kernel_rejected_everywhere(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            kernels.normalize_kernel_name("fortran")
-        with pytest.raises(ValueError, match="unknown kernel"):
-            _model(ring(8), TanhPotential(), kernel="fortran")
-        with pytest.raises(ValueError, match="unknown kernel"):
-            simulate(_model(ring(8), TanhPotential()), 1.0, kernel="fortran")
+        for name in ("fortran", "numba"):
+            with pytest.raises(ValueError, match="unknown kernel"):
+                kernels.normalize_kernel_name(name)
+            with pytest.raises(ValueError, match="unknown kernel"):
+                _model(ring(8), TanhPotential(), kernel=name)
+            with pytest.raises(ValueError, match="unknown kernel"):
+                simulate(_model(ring(8), TanhPotential()), 1.0, kernel=name)
 
     def test_auto_prefers_compiled_with_coefficients(self):
         resolved = kernels.resolve_kernel(
             "auto", has_coefficients=True, n_edges=16)
-        if kernels.numba_available():
-            assert resolved == "numba"
-        elif kernels.cc_available():
+        if kernels.cc_available():
             assert resolved == "cc"
         else:
             assert resolved == "numpy"
@@ -106,17 +102,15 @@ class TestResolution:
         assert large == "tiled"
 
     def test_explicit_compiled_without_coefficients_raises(self):
-        for name in ("cc", "numba"):
-            with pytest.raises((ValueError, RuntimeError)):
-                kernels.resolve_kernel(name, has_coefficients=False,
-                                       n_edges=16)
+        with pytest.raises((ValueError, RuntimeError)):
+            kernels.resolve_kernel("cc", has_coefficients=False, n_edges=16)
 
     def test_dense_backend_rejects_explicit_kernel(self):
         realized = _model(ring(16), TanhPotential()).realize(1.0, rng=0)
         with pytest.raises(ValueError, match="does not support"):
-            make_backend(realized, "dense", kernel="tiled")
+            make_batched_backend([realized], "dense", kernel="tiled")
         # "auto" composes with every backend
-        make_backend(realized, "dense", kernel="auto")
+        make_batched_backend([realized], "dense", kernel="auto")
 
     def test_explicit_kernel_steers_auto_backend_to_sparse(self):
         # ring(6) is dense by the density rule; an explicit kernel is a
@@ -173,10 +167,8 @@ class TestSingleEquivalence:
         topo = make_topo()
         model = _model(topo, make_pot())
         theta = np.random.default_rng(1).normal(0.0, 1.0, topo.n)
-        ref = make_backend(model.realize(5.0, rng=0), "sparse",
-                           kernel="numpy").coupling(0.0, theta)
-        out = make_backend(model.realize(5.0, rng=0), "sparse",
-                           kernel=kernel).coupling(0.0, theta)
+        ref = _coupling_r1(model, "numpy", theta)
+        out = _coupling_r1(model, kernel, theta)
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-13)
 
     @pytest.mark.parametrize("kernel", _kernel_params())
@@ -184,15 +176,12 @@ class TestSingleEquivalence:
         pot = CustomPotential(lambda d: np.tanh(d) + 0.05 * d, "mix")
         model = _model(ring(64), pot)
         theta = np.random.default_rng(2).normal(0.0, 1.0, 64)
-        ref = make_backend(model.realize(5.0, rng=0), "sparse",
-                           kernel="numpy").coupling(0.0, theta)
-        if kernel in ("cc", "numba"):
+        ref = _coupling_r1(model, "numpy", theta)
+        if kernel == "cc":
             with pytest.raises(ValueError, match="kernel coefficients"):
-                make_backend(model.realize(5.0, rng=0), "sparse",
-                             kernel=kernel)
+                _coupling_r1(model, kernel, theta)
             return
-        out = make_backend(model.realize(5.0, rng=0), "sparse",
-                           kernel=kernel).coupling(0.0, theta)
+        out = _coupling_r1(model, kernel, theta)
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-13)
 
 
@@ -213,7 +202,7 @@ class TestBatchedEquivalence:
         thetas = np.random.default_rng(3).normal(0.0, 1.0, (5, topo.n))
         ref = np.stack([m.coupling_term(0.0, thetas[i])
                         for i, m in enumerate(members)])
-        out = BatchedBackend(members, kernel=kernel).coupling(0.0, thetas)
+        out = HeteroBatchedBackend(members, kernel=kernel).coupling(0.0, thetas)
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-13)
 
     @pytest.mark.parametrize("kernel", _kernel_params())
@@ -253,9 +242,8 @@ class TestBatchedEquivalence:
         topo = ring(48, (1, -1))
         members = [_model(topo, CustomPotential(np.sin, "sin")).realize(
             5.0, rng=0)]
-        for name in ("cc", "numba"):
-            with pytest.raises((ValueError, RuntimeError)):
-                HeteroBatchedBackend(members, kernel=name)
+        with pytest.raises((ValueError, RuntimeError)):
+            HeteroBatchedBackend(members, kernel="cc")
 
     def test_subset_propagates_kernel(self):
         topo = ring(48, (1, -1))
@@ -435,77 +423,43 @@ class TestEndToEnd:
 
 
 # ----------------------------------------------------------------------
-# ring specialisation (numba kernel — port of the cc fast path)
+# one-state compiled forms (the batched entry points at R=1)
 # ----------------------------------------------------------------------
-@needs_numba
-class TestNumbaRing:
-    def test_backend_dispatches_ring_path(self):
-        from repro.backends.sparse import SparseBackend
-
-        realized = _model(ring(48, (1, -1)), TanhPotential()).realize(
-            5.0, rng=0)
-        backend = make_backend(realized, "sparse", kernel="numba")
-        assert isinstance(backend, SparseBackend)
-        assert backend._ring_offsets is not None
-
-        # non-ring topologies keep the generic fused path
-        realized = _model(chain(48, (1, -1)), TanhPotential()).realize(
-            5.0, rng=0)
-        backend = make_backend(realized, "sparse", kernel="numba")
-        assert backend._ring_offsets is None
-
-    def test_hetero_dispatches_ring_path(self):
-        topo = ring(48, (1, -1, -2))
-        members = [_model(topo, BottleneckPotential(0.6 * (i + 1))).realize(
-            5.0, rng=0) for i in range(3)]
-        backend = HeteroBatchedBackend(members, kernel="numba")
-        assert backend._ring_offsets is not None
-
-    @pytest.mark.parametrize("make_pot", POTENTIALS)
-    @pytest.mark.parametrize("dists", [(1, -1), (1, -1, -2), (3, 5)])
-    def test_ring_single_matches_numpy(self, make_pot, dists):
-        from repro.kernels import numba_kernels
-
-        topo = ring(53, dists)
-        pot = make_pot()
+@needs_cc
+class TestCompiledSingleForms:
+    @pytest.mark.parametrize("make_topo", TOPOLOGIES)
+    def test_single_forms_match_batched_rows(self, make_topo):
+        topo = make_topo()
         rows, cols = topo.edge_list()
-        offs = cc_kernels.ring_offsets(rows, cols, topo.n)
-        assert offs is not None
-        kind, p0, p1 = pot.kernel_coefficients()
-        theta = np.random.default_rng(6).normal(0.0, 2.0, topo.n)
-        v = np.asarray(pot(theta[cols] - theta[rows]), dtype=float)
-        ref = 0.1 * np.bincount(rows, weights=v, minlength=topo.n)
-        out = numba_kernels.ring_single(offs, theta, np.empty(topo.n),
-                                        kind, p0, p1, 0.1)
-        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-13)
-
-    def test_ring_batched_matches_single(self):
-        from repro.kernels import numba_kernels
-
-        topo = ring(40, (1, -1))
         pots = [TanhPotential(0.7), BottleneckPotential(1.2),
                 LinearPotential(0.4)]
-        offs = cc_kernels.ring_offsets(*topo.edge_list(), topo.n)
-        coeffs = np.array([p.kernel_coefficients() for p in pots])
-        kinds = np.ascontiguousarray(coeffs[:, 0], dtype=np.int64)
-        p0 = np.ascontiguousarray(coeffs[:, 1])
-        p1 = np.ascontiguousarray(coeffs[:, 2])
+        kinds, p0, p1 = family_coefficients(pots)
         vps = np.array([0.1, 0.2, 0.3])
-        thetas = np.random.default_rng(7).normal(0.0, 1.0, (3, 40))
-        out = numba_kernels.ring_batched(offs, thetas, np.empty((3, 40)),
-                                         kinds, p0, p1, vps)
-        for r, pot in enumerate(pots):
-            ref = numba_kernels.ring_single(
-                offs, np.ascontiguousarray(thetas[r]), np.empty(40),
-                int(kinds[r]), float(p0[r]), float(p1[r]), float(vps[r]))
-            np.testing.assert_array_equal(out[r], ref)
-
-    def test_simulate_end_to_end(self):
-        model = _model(ring(32, (1, -1)), BottleneckPotential(1.0),
-                       kernel="numba")
-        ref = simulate(model, 10.0, seed=0, kernel="numpy",
-                       backend="sparse")
-        out = simulate(model, 10.0, seed=0, kernel="numba",
-                       backend="sparse")
-        np.testing.assert_allclose(out.thetas, ref.thetas,
-                                   rtol=1e-9, atol=1e-10)
+        thetas = np.random.default_rng(7).normal(0.0, 1.0, (3, topo.n))
+        rows32 = np.ascontiguousarray(rows, dtype=np.int32)
+        cols32 = np.ascontiguousarray(cols, dtype=np.int32)
+        offs = cc_kernels.ring_offsets(rows, cols, topo.n)
+        halo = cc_kernels.torus_halo(rows, cols, topo.n)
+        if offs is not None:
+            batched = cc_kernels.ring_batched(
+                offs, thetas, np.empty_like(thetas), kinds, p0, p1, vps)
+        elif halo is not None:
+            batched = cc_kernels.torus_batched(
+                halo, thetas, np.empty_like(thetas), kinds, p0, p1, vps)
+        else:
+            batched = cc_kernels.fused_batched(
+                rows32, cols32, thetas, np.empty_like(thetas), kinds, p0,
+                p1, vps)
+        for r in range(3):
+            args = (int(kinds[r]), float(p0[r]), float(p1[r]), float(vps[r]))
+            theta = np.ascontiguousarray(thetas[r])
+            out = cc_kernels.fused_single(rows32, cols32, theta,
+                                          np.empty(topo.n), *args)
+            np.testing.assert_allclose(out, batched[r], rtol=1e-12,
+                                       atol=1e-13)
+            if offs is not None:
+                np.testing.assert_array_equal(cc_kernels.ring_single(
+                    offs, theta, np.empty(topo.n), *args), batched[r])
+            if halo is not None:
+                np.testing.assert_array_equal(cc_kernels.torus_single(
+                    halo, theta, np.empty(topo.n), *args), batched[r])

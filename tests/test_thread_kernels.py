@@ -1,9 +1,9 @@
 """Thread-parallel kernel suite: bit-equality with serial, knob plumbing.
 
-The PR-5 contract: the in-kernel thread count (``threads=`` /
-``POM_NUM_THREADS``) steers wall-clock only — every compiled kernel
-(``cc`` and numba, single and batched, generic edge-list / ring / torus
-paths) must produce *bit-identical* results for any thread count,
+The contract: the in-kernel thread count (``threads=`` /
+``POM_NUM_THREADS``) steers wall-clock only — the compiled kernel
+(single states as R=1 stacks and batches, generic edge-list / ring /
+torus paths) must produce *bit-identical* results for any thread count,
 because each thread accumulates disjoint output rows in the serial
 per-row order.  Also covers the 2-D torus halo detection feeding the
 specialised compiled path and the one-time ``CustomPotential``
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro import kernels
-from repro.backends import make_backend, make_batched_backend
+from repro.backends import make_batched_backend
 from repro.core import (
     BottleneckPotential,
     CustomPotential,
@@ -33,13 +33,7 @@ from repro.kernels import cc as cc_kernels
 
 needs_cc = pytest.mark.skipif(not kernels.cc_available(),
                               reason="no working C compiler")
-needs_numba = pytest.mark.skipif(not kernels.numba_available(),
-                                 reason="numba not installed")
-
-COMPILED = [
-    pytest.param("cc", marks=needs_cc),
-    pytest.param("numba", marks=needs_numba),
-]
+COMPILED = [pytest.param("cc", marks=needs_cc)]
 
 TOPOLOGIES = [
     pytest.param(lambda: ring(96, (1, -1)), id="ring"),
@@ -64,6 +58,11 @@ def _model(topo, pot, **kw):
 
 def _realize(topo, pot, seed=0, **kw):
     return _model(topo, pot).realize(10.0, rng=seed, **kw)
+
+
+def _single(realized, **kw):
+    """The edge-list backend over one member (an R=1 stack)."""
+    return make_batched_backend([realized], "sparse", **kw)
 
 
 # ----------------------------------------------------------------------
@@ -143,12 +142,10 @@ class TestThreadInvariance:
     def test_single_state_bits(self, kernel, topo_f, pot_f):
         topo, pot = topo_f(), pot_f()
         rng = np.random.default_rng(11)
-        serial = make_backend(_realize(topo, pot), "sparse",
-                              kernel=kernel, threads=1)
-        parallel = make_backend(_realize(topo, pot), "sparse",
-                                kernel=kernel, threads=4)
+        serial = _single(_realize(topo, pot), kernel=kernel, threads=1)
+        parallel = _single(_realize(topo, pot), kernel=kernel, threads=4)
         for _ in range(5):
-            theta = rng.uniform(-2 * np.pi, 2 * np.pi, topo.n)
+            theta = rng.uniform(-2 * np.pi, 2 * np.pi, (1, topo.n))
             np.testing.assert_array_equal(
                 serial.coupling(0.0, theta), parallel.coupling(0.0, theta))
 
@@ -171,10 +168,10 @@ class TestThreadInvariance:
     @pytest.mark.parametrize("kernel", COMPILED)
     def test_odd_thread_counts(self, kernel):
         topo = ring(101, (1, -1, 2))
-        be = {t: make_backend(_realize(topo, TanhPotential()), "sparse",
-                              kernel=kernel, threads=t)
+        be = {t: _single(_realize(topo, TanhPotential()), kernel=kernel,
+                         threads=t)
               for t in (1, 3, 7, 16)}
-        theta = np.random.default_rng(17).uniform(-np.pi, np.pi, topo.n)
+        theta = np.random.default_rng(17).uniform(-np.pi, np.pi, (1, topo.n))
         ref = be[1].coupling(0.0, theta)
         for t in (3, 7, 16):
             np.testing.assert_array_equal(ref, be[t].coupling(0.0, theta))
@@ -184,11 +181,9 @@ class TestThreadInvariance:
         # The specialised torus path against the reference segment sum.
         topo = torus2d(9, 6)
         pot = BottleneckPotential(0.7)
-        compiled = make_backend(_realize(topo, pot), "sparse",
-                                kernel=kernel, threads=2)
-        reference = make_backend(_realize(topo, pot), "sparse",
-                                 kernel="numpy")
-        theta = np.random.default_rng(19).uniform(-np.pi, np.pi, topo.n)
+        compiled = _single(_realize(topo, pot), kernel=kernel, threads=2)
+        reference = _single(_realize(topo, pot), kernel="numpy")
+        theta = np.random.default_rng(19).uniform(-np.pi, np.pi, (1, topo.n))
         np.testing.assert_allclose(compiled.coupling(0.0, theta),
                                    reference.coupling(0.0, theta),
                                    rtol=1e-12, atol=1e-13)
@@ -203,8 +198,8 @@ class TestThreadInvariance:
     @needs_cc
     def test_env_knob_reaches_backend(self, monkeypatch):
         monkeypatch.setenv(kernels.THREADS_ENV_VAR, "3")
-        be = make_backend(_realize(ring(32, (1, -1)), TanhPotential()),
-                          "sparse", kernel="cc")
+        be = _single(_realize(ring(32, (1, -1)), TanhPotential()),
+                     kernel="cc")
         assert be.threads == 3
         assert be.describe()["threads"] == 3
 
@@ -222,16 +217,15 @@ class TestCoefficientFallbackWarning:
     def test_warns_once_per_process(self):
         pot = CustomPotential(np.sin, name="sin")
         with pytest.warns(RuntimeWarning, match="CustomPotential"):
-            make_backend(_realize(ring(16, (1, -1)), pot), "sparse")
+            _single(_realize(ring(16, (1, -1)), pot))
         # Second resolution stays silent (flag already tripped).
         import warnings as _warnings
         with _warnings.catch_warnings():
             _warnings.simplefilter("error")
-            make_backend(_realize(ring(16, (1, -1)), pot), "sparse")
+            _single(_realize(ring(16, (1, -1)), pot))
 
     def test_no_warning_with_coefficients(self):
         import warnings as _warnings
         with _warnings.catch_warnings():
             _warnings.simplefilter("error")
-            make_backend(_realize(ring(16, (1, -1)), TanhPotential()),
-                         "sparse")
+            _single(_realize(ring(16, (1, -1)), TanhPotential()))
