@@ -15,7 +15,12 @@ Measures the three claims of the backend layer:
    i.e. squarely in the second regime.
 3. **Ensemble wall-clock** — ``run_ensemble`` over 8 seeds, sequential
    vs. ``batched=True``.
-4. **Kernel ladder** — the large-N regime (ring N = 1e4 / 1e5 and a
+4. **Stepper** — µs per RHS evaluation of a whole rk4 solve on a noisy
+   bottleneck ring (the ``paper_sweep`` shape) at N = 24 / 32 / 128 /
+   1024 and R = 1 / 16: the per-RHS Python loop vs. the compiled
+   fixed-step stepper on the same ``cc`` backend (bit-identical
+   results, asserted).  CI floors the stepper speedup at N = 32.
+5. **Kernel ladder** — the large-N regime (ring N = 1e4 / 1e5 and a
    ~1e5-rank torus, built edge-native so no dense matrix is ever
    materialised): one single-state and one 8-member batched RHS
    evaluation under each available coupling kernel (``numpy`` vs.
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import time
 from statistics import median
@@ -45,6 +51,7 @@ import numpy as np
 from repro import kernels
 from repro.backends import make_batched_backend
 from repro.core import (
+    BottleneckPotential,
     GaussianJitter,
     PhysicalOscillatorModel,
     TanhPotential,
@@ -154,6 +161,49 @@ def bench_ensemble(n: int, r: int, t_end: float, repeats: int) -> dict:
     }
 
 
+def bench_stepper(ns, rs, steps: int, repeats: int) -> dict:
+    """µs per RHS evaluation: Python rk4 loop vs. the compiled stepper.
+
+    Both solve the same stacked ``cc`` backend over ``steps`` rk4 steps
+    with ``record="none"``, so the difference is the per-step Python
+    dispatch the stepper removes.  Empty when no compiler is available.
+    """
+    from repro.integrate import solve_rk4
+
+    if not kernels.cc_available():
+        return {}
+    dt = 0.01
+    out: dict = {"metric": "us per RHS evaluation, rk4", "steps": steps}
+    for n in ns:
+        for r in rs:
+            members = [PhysicalOscillatorModel(
+                topology=ring(n, (1, -1)),
+                potential=BottleneckPotential(sigma=0.5 + 0.25 * (i % 8)),
+                t_comp=0.9, t_comm=0.1,
+                local_noise=GaussianJitter(std=0.01, refresh=0.5),
+            ).realize(steps * dt, rng=i) for i in range(r)]
+            backend = make_batched_backend(members, "sparse", kernel="cc")
+            rhs = backend.make_ode_rhs()
+            stepper = backend.make_stepper("rk4")
+            theta0 = np.random.default_rng(n).normal(0.0, 1e-3, (r, n))
+
+            def solve(with_stepper):
+                return solve_rk4(rhs, (0.0, steps * dt), theta0, dt=dt,
+                                 record="none",
+                                 stepper=stepper if with_stepper else None)
+
+            np.testing.assert_array_equal(solve(True).ys, solve(False).ys)
+            loop = _time_best(lambda: solve(False), repeats)
+            fast = _time_best(lambda: solve(True), repeats)
+            n_rhs = 4 * steps
+            out[f"n{n}_r{r}"] = {
+                "python_us_per_rhs": loop / n_rhs * 1e6,
+                "stepper_us_per_rhs": fast / n_rhs * 1e6,
+                "speedup_stepper_vs_python": loop / fast,
+            }
+    return out
+
+
 def _ladder_kernels() -> list[str]:
     """Kernels to compare: numpy/tiled always, plus what's available."""
     names = ["numpy", "tiled"]
@@ -260,11 +310,15 @@ def main(argv: list[str] | None = None) -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
+            "cpu_count": os.cpu_count(),
         },
         "rhs_ring": bench_rhs(rhs_n, repeats),
         "batched_rhs": bench_batched_rhs(rhs_n, 8, repeats),
         "batched_rhs_small": bench_batched_rhs(128, 8, repeats),
         "ensemble": bench_ensemble(ens_n, 8, ens_t, 3),
+        "stepper": bench_stepper((24, 32, 128, 1024), (1, 16),
+                                 300 if args.quick else 1500,
+                                 3 if args.quick else 5),
         "kernels_available": _ladder_kernels(),
         "kernel_ladder": bench_kernel_ladder(args.quick, repeats),
     }
@@ -289,6 +343,12 @@ def main(argv: list[str] | None = None) -> int:
           f"sequential {er['sequential_s']:.2f} s, "
           f"batched {er['batched_s']:.2f} s "
           f"=> {er['speedup_batched_vs_sequential']:.1f}x")
+    for key, case in result["stepper"].items():
+        if isinstance(case, dict):
+            print(f"stepper ring {key}: python "
+                  f"{case['python_us_per_rhs']:.1f} us/rhs, stepper "
+                  f"{case['stepper_us_per_rhs']:.1f} us/rhs "
+                  f"=> {case['speedup_stepper_vs_python']:.1f}x")
     for case in result["kernel_ladder"]:
         for mode in ("single", "batched"):
             parts = [f"{k} {case[mode][k] * 1e3:.3f} ms"

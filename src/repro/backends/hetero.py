@@ -195,6 +195,9 @@ class HeteroBatchedBackend:
         self._edge_sizes = [int(r.size) for r in self._per_rows]
         self._total_edges = int(sum(self._edge_sizes))
         self._zeta_stack = self._stack_zeta()
+        self._zeta_t0 = members[0].zeta.t0
+        self._zeta_dt = members[0].zeta.dt
+        self._freq_cache: tuple[int, np.ndarray] | None = None
         self._has_delays = any(m.has_delays for m in self.members)
         # Delay schedules: broadcast one evaluation when all members
         # share the same schedule, else evaluate per member.
@@ -248,6 +251,7 @@ class HeteroBatchedBackend:
             self._tiled = kernels.TiledBatchedCoupling(
                 self.model.topology, self._edge_potential, self._vps, self._r)
         elif self.kernel == "cc":
+            self._cc_threads = cc_kernels.clamp_threads(self.threads)
             self._rows32 = np.ascontiguousarray(self._rows, dtype=np.int32)
             self._cols32 = np.ascontiguousarray(self._cols, dtype=np.int32)
             self._vps_flat = np.ascontiguousarray(self._vps.ravel())
@@ -381,11 +385,24 @@ class HeteroBatchedBackend:
         return np.stack([s(t, self._n) for s in self._scheds])
 
     def intrinsic_frequency(self, t: float) -> np.ndarray:
-        """Stacked per-process frequencies, shape ``(R, N)``."""
+        """Stacked per-process frequencies, shape ``(R, N)``.
+
+        Without one-off delays the frequency is piecewise constant over
+        the noise windows, so the last window's array is cached and
+        returned (read-only) until ``t`` leaves that window.
+        """
         if self._zeta_stack is not None:
-            k = int(np.floor((t - self.members[0].zeta.t0)
-                             / self.members[0].zeta.dt))
+            k = int(np.floor((t - self._zeta_t0) / self._zeta_dt))
             k = min(max(k, 0), self._zeta_stack.shape[0] - 1)
+            if self._sched_empty:
+                cached = self._freq_cache
+                if cached is not None and cached[0] == k:
+                    return cached[1]
+                freq = frequency_from_period(
+                    self._periods + self._zeta_stack[k])
+                freq.flags.writeable = False
+                self._freq_cache = (k, freq)
+                return freq
             zeta = self._zeta_stack[k]                       # (R, N)
         else:
             zeta = np.stack([m.zeta(t) for m in self.members])
@@ -435,16 +452,16 @@ class HeteroBatchedBackend:
                     return cc_kernels.ring_batched(
                         self._ring_offsets, theta,
                         np.empty((self._r, self._n)), kinds, p0, p1,
-                        self._vps_flat, threads=self.threads)
+                        self._vps_flat, threads=self._cc_threads)
                 if self._torus_halo is not None:
                     return cc_kernels.torus_batched(
                         self._torus_halo, theta,
                         np.empty((self._r, self._n)), kinds, p0, p1,
-                        self._vps_flat, threads=self.threads)
+                        self._vps_flat, threads=self._cc_threads)
                 return cc_kernels.fused_batched(
                     self._rows32, self._cols32, theta,
                     np.empty((self._r, self._n)), kinds, p0, p1,
-                    self._vps_flat, threads=self.threads)
+                    self._vps_flat, threads=self._cc_threads)
             # One flat gather over the (R*N,) super-state, one
             # family-vectorised potential pass over (R, E), one bincount
             # (whose overflow bin swallows the pad slots of a mixed
@@ -492,6 +509,32 @@ class HeteroBatchedBackend:
                 "batch has interaction delays; use make_dde_rhs with a history"
             )
         return lambda t, y: self.rhs(t, y, None)
+
+    def make_stepper(self, method: str) -> "cc_kernels.FixedStepper | None":
+        """The compiled fixed-step stepper for this stack, or ``None``.
+
+        Binds every array address once and returns a
+        :class:`~repro.kernels.cc.FixedStepper` that advances ``K``
+        ``method`` steps per C call, bit-identical to
+        :func:`~repro.integrate.solve_rk4` / ``solve_euler`` over
+        :meth:`make_ode_rhs`.  ``None`` when it cannot apply: a method
+        other than rk4/euler, a kernel other than ``cc`` (including the
+        dense reference backend), a mixed-topology batch, interaction
+        delays, members on different noise grids, or a one-off delay
+        schedule.
+        """
+        if (method not in cc_kernels.STEPPER_METHODS or self.kernel != "cc"
+                or self._mixed or self._has_delays
+                or self._zeta_stack is None or not self._sched_empty):
+            return None
+        kinds, p0, p1 = self._coeffs
+        return cc_kernels.FixedStepper(
+            method, kinds=kinds, p0=p0, p1=p1, vp_over_n=self._vps_flat,
+            periods=self._periods, zeta=self._zeta_stack,
+            zeta_t0=self._zeta_t0, zeta_dt=self._zeta_dt,
+            coupled=self._coupled, threads=self._cc_threads,
+            ring=self._ring_offsets, torus=self._torus_halo,
+            edges=(self._rows32, self._cols32))
 
     def make_dde_rhs(self, history: "HistoryBuffer"):
         """Closure ``f(t, theta)`` that reads delayed states from ``history``."""

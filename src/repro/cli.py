@@ -49,7 +49,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .backends import auto_backend_name, available_backends, available_kernels
+from .backends import available_backends, available_kernels
 from .core import (
     OneOffDelay,
     PhysicalOscillatorModel,
@@ -745,26 +745,12 @@ def _cmd_model(args: argparse.Namespace) -> int:
                     threads=args.threads)
     verdict = classify(traj.ts, traj.thetas, model.omega)
 
-    # Report the backend/kernel that actually ran, not the "auto" request
-    # (an explicit kernel or thread count steers backend "auto" to the
-    # edge-list path).
-    if args.backend != "auto":
-        resolved = args.backend
-    elif args.kernel != "auto" or args.threads is not None:
-        resolved = "sparse"
-    else:
-        resolved = auto_backend_name(model.topology)
-    kernel_note = ""
-    if resolved == "sparse":
-        from .kernels import resolve_kernel
-
-        coeffs = potential.kernel_coefficients()
-        kernel_note = " kernel=" + resolve_kernel(
-            args.kernel, has_coefficients=coeffs is not None,
-            n_edges=model.topology.n_edges)
+    # Report what actually ran, as the solve recorded it.
+    ran = traj.solution.backend
+    kernel_note = f" kernel={ran['kernel']}" if ran["kernel"] else ""
     print(f"N={args.n} potential={potential.name} beta*kappa="
-          f"{model.beta_kappa:g} v_p={model.v_p:g} backend={resolved}"
-          f"{kernel_note}")
+          f"{model.beta_kappa:g} v_p={model.v_p:g} backend={ran['backend']}"
+          f"{kernel_note} stepper={'on' if ran['stepper'] else 'off'}")
     if args.view == "circle":
         print(circle_diagram(traj.final_phases, title="asymptotic phases"))
     elif args.view == "phases":

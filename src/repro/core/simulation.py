@@ -154,11 +154,13 @@ def _simulate_stack(models: Sequence[PhysicalOscillatorModel],
                                    threads=threads)
     if dt is None:
         dt = min(default_dt(m) for m in models)
+    stepper = stacked.make_stepper(method)
     sol = _solve_stacked(stacked, models, t_end, theta0s, method, dt,
                          rtol, atol, seeds, per_member_adaptive,
-                         observer=observer, record=record)
+                         observer=observer, record=record, stepper=stepper)
     if not sol.success:
         raise RuntimeError(f"integration failed: {sol.message}")
+    sol.backend = {**stacked.describe(), "stepper": stepper is not None}
     return _fan_out(sol, models, seeds, n_samples)
 
 
@@ -224,7 +226,7 @@ def _solve_stacked(stacked, models: Sequence[PhysicalOscillatorModel],
                    t_end: float, theta0s: np.ndarray, method: str,
                    dt: float, rtol: float, atol: float,
                    seeds: Sequence[int], per_member_adaptive: bool,
-                   observer=None, record: str | int = "full"):
+                   observer=None, record: str | int = "full", stepper=None):
     """The solver dispatch shared by every entry point.
 
     ``observer``/``record`` are the streaming-metrics hooks of
@@ -232,7 +234,9 @@ def _solve_stacked(stacked, models: Sequence[PhysicalOscillatorModel],
     ``(R, N)`` state at ``t0`` and after every accepted step (on every
     method, including the DDE path whose ``step_callback`` is occupied
     by the history buffer), while ``record`` controls which states the
-    returned mesh retains.
+    returned mesh retains.  ``stepper`` is the backend's compiled
+    rk4/euler stepper (:meth:`HeteroBatchedBackend.make_stepper`), or
+    ``None`` for the per-RHS loop.
     """
     if method == "em" and stacked.has_delays:
         # Interaction delays switch to the deterministic DDE integrator,
@@ -263,10 +267,11 @@ def _solve_stacked(stacked, models: Sequence[PhysicalOscillatorModel],
             observer=observer, record=record)
     if method == "rk4":
         return solve_rk4(stacked.make_ode_rhs(), (0.0, t_end), theta0s, dt=dt,
-                         observer=observer, record=record)
+                         observer=observer, record=record, stepper=stepper)
     if method == "euler":
         return solve_euler(stacked.make_ode_rhs(), (0.0, t_end), theta0s,
-                           dt=dt, observer=observer, record=record)
+                           dt=dt, observer=observer, record=record,
+                           stepper=stepper)
     if method == "em":
         amps = np.array([_em_amplitude(m) for m in models])[:, None]
         return _solve_em_stacked(stacked, amps, t_end, theta0s, dt, seeds,
@@ -308,7 +313,7 @@ def _fan_out(sol, models: Sequence[PhysicalOscillatorModel],
             ts=sol.ts, ys=sol.ys[:, r, :], stats=sol.stats,
             dense=(_MemberDense(sol.dense, r) if sol.dense is not None
                    else None),
-            success=sol.success, message=sol.message)
+            success=sol.success, message=sol.message, backend=sol.backend)
         trajs.append(OscillatorTrajectory(
             ts=sampled.ts, thetas=sampled.ys[:, r, :],
             model=model, solution=member_sol,

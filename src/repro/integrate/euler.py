@@ -18,7 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .solution import Solution, SolverStats, record_stride
+from .fixed import fixed_step_solve
+from .solution import Solution
 
 __all__ = ["solve_euler", "solve_euler_maruyama"]
 
@@ -32,48 +33,24 @@ def solve_euler(
     step_callback: Callable[[float, np.ndarray], None] | None = None,
     observer: Callable[[float, np.ndarray], None] | None = None,
     record: str | int = "full",
+    stepper=None,
 ) -> Solution:
     """Integrate with the explicit (forward) Euler scheme, fixed step.
 
     ``observer`` is called with ``(t, y)`` at ``t0`` and after every
     step — the streaming-metrics hook, independent of which states
     ``record`` retains (``"full"`` | ``"none"`` | stride ``K``, see
-    :func:`repro.integrate.solution.record_stride`).
+    :func:`repro.integrate.solution.record_stride`).  ``stepper`` is a
+    compiled euler stepper over the same right-hand side, run in chunks
+    (see :func:`repro.integrate.fixed.fixed_step_solve`).
     """
-    t0, t_end = float(t_span[0]), float(t_span[1])
-    if not t_end > t0:
-        raise ValueError(f"need t_end > t0, got {t_span!r}")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    stride = record_stride(record)
 
-    y = np.asarray(y0, dtype=float).copy()
-    stats = SolverStats()
-    n_full = int(np.floor((t_end - t0) / dt + 1e-12))
-    remainder = (t_end - t0) - n_full * dt
+    def step(t: float, h: float, y: np.ndarray) -> np.ndarray:
+        return y + h * np.asarray(f(t, y), dtype=float)
 
-    ts = [t0]
-    ys = [y.copy()]
-    if observer is not None:
-        observer(t0, y)
-    t = t0
-    n_steps = n_full + (1 if remainder > 1e-15 else 0)
-    for i in range(n_steps):
-        h = dt if i < n_full else remainder
-        y = y + h * np.asarray(f(t, y), dtype=float)
-        t = t + h
-        stats.n_rhs += 1
-        stats.n_steps += 1
-        if stride is None or (stride and (i + 1) % stride == 0) \
-                or i == n_steps - 1:
-            ts.append(t)
-            ys.append(y.copy())
-        if observer is not None:
-            observer(t, y)
-        if step_callback is not None:
-            step_callback(t, y)
-
-    return Solution(ts=np.asarray(ts), ys=np.asarray(ys), stats=stats)
+    return fixed_step_solve(step, t_span, y0, dt=dt, rhs_per_step=1,
+                            step_callback=step_callback, observer=observer,
+                            record=record, stepper=stepper)
 
 
 def solve_euler_maruyama(
@@ -108,60 +85,33 @@ def solve_euler_maruyama(
         sequential one-member-at-a-time solve would — a batched ensemble
         therefore reproduces the per-seed runs bit for bit.
     """
-    t0, t_end = float(t_span[0]), float(t_span[1])
-    if not t_end > t0:
-        raise ValueError(f"need t_end > t0, got {t_span!r}")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    stride = record_stride(record)
-
-    y = np.asarray(y0, dtype=float).copy()
+    shape = np.shape(y0)
     if isinstance(rng, (list, tuple)):
         gens = [r if isinstance(r, np.random.Generator)
                 else np.random.default_rng(r) for r in rng]
-        if y.ndim < 2 or len(gens) != y.shape[0]:
+        if len(shape) < 2 or len(gens) != shape[0]:
             raise ValueError(
                 f"got {len(gens)} generators for a state of shape "
-                f"{y.shape}; a generator sequence needs one entry per "
+                f"{shape}; a generator sequence needs one entry per "
                 "member row"
             )
 
         def draw() -> np.ndarray:
-            return np.stack([gen.standard_normal(y.shape[1:])
+            return np.stack([gen.standard_normal(shape[1:])
                              for gen in gens])
     else:
         gen = rng if isinstance(rng, np.random.Generator) \
             else np.random.default_rng(rng)
 
         def draw() -> np.ndarray:
-            return gen.standard_normal(y.shape)
+            return gen.standard_normal(shape)
 
-    stats = SolverStats()
-    n_full = int(np.floor((t_end - t0) / dt + 1e-12))
-    remainder = (t_end - t0) - n_full * dt
-
-    ts = [t0]
-    ys = [y.copy()]
-    if observer is not None:
-        observer(t0, y)
-    t = t0
-    n_steps = n_full + (1 if remainder > 1e-15 else 0)
-    for i in range(n_steps):
-        h = dt if i < n_full else remainder
+    def step(t: float, h: float, y: np.ndarray) -> np.ndarray:
         drift = np.asarray(f(t, y), dtype=float)
         diff = np.asarray(g(t, y), dtype=float)
         dw = draw() * np.sqrt(h)
-        y = y + h * drift + diff * dw
-        t = t + h
-        stats.n_rhs += 1
-        stats.n_steps += 1
-        if stride is None or (stride and (i + 1) % stride == 0) \
-                or i == n_steps - 1:
-            ts.append(t)
-            ys.append(y.copy())
-        if observer is not None:
-            observer(t, y)
-        if step_callback is not None:
-            step_callback(t, y)
+        return y + h * drift + diff * dw
 
-    return Solution(ts=np.asarray(ts), ys=np.asarray(ys), stats=stats)
+    return fixed_step_solve(step, t_span, y0, dt=dt, rhs_per_step=1,
+                            step_callback=step_callback, observer=observer,
+                            record=record)

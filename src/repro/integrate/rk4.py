@@ -12,7 +12,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .solution import Solution, SolverStats, record_stride
+from .fixed import fixed_step_solve
+from .solution import Solution
 
 __all__ = ["solve_rk4"]
 
@@ -26,6 +27,7 @@ def solve_rk4(
     step_callback: Callable[[float, np.ndarray], None] | None = None,
     observer: Callable[[float, np.ndarray], None] | None = None,
     record: str | int = "full",
+    stepper=None,
 ) -> Solution:
     """Integrate ``dy/dt = f(t, y)`` with the classic RK4 scheme.
 
@@ -49,43 +51,20 @@ def solve_rk4(
         Which states the returned mesh retains: ``"full"`` | ``"none"``
         | stride ``K`` (see
         :func:`repro.integrate.solution.record_stride`).
+    stepper:
+        A compiled rk4 stepper over the same right-hand side
+        (:meth:`repro.backends.HeteroBatchedBackend.make_stepper`); it
+        runs the steps in chunks, bit-identical to the loop over ``f``
+        (see :func:`repro.integrate.fixed.fixed_step_solve`).
     """
-    t0, t_end = float(t_span[0]), float(t_span[1])
-    if not t_end > t0:
-        raise ValueError(f"need t_end > t0, got {t_span!r}")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    stride = record_stride(record)
 
-    y = np.asarray(y0, dtype=float).copy()
-    stats = SolverStats()
-
-    n_full = int(np.floor((t_end - t0) / dt + 1e-12))
-    remainder = (t_end - t0) - n_full * dt
-
-    ts = [t0]
-    ys = [y.copy()]
-    if observer is not None:
-        observer(t0, y)
-    t = t0
-    n_steps = n_full + (1 if remainder > 1e-15 else 0)
-    for i in range(n_steps):
-        h = dt if i < n_full else remainder
+    def step(t: float, h: float, y: np.ndarray) -> np.ndarray:
         k1 = np.asarray(f(t, y), dtype=float)
         k2 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k1), dtype=float)
         k3 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k2), dtype=float)
         k4 = np.asarray(f(t + h, y + h * k3), dtype=float)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = t + h
-        stats.n_rhs += 4
-        stats.n_steps += 1
-        if stride is None or (stride and (i + 1) % stride == 0) \
-                or i == n_steps - 1:
-            ts.append(t)
-            ys.append(y.copy())
-        if observer is not None:
-            observer(t, y)
-        if step_callback is not None:
-            step_callback(t, y)
+        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    return Solution(ts=np.asarray(ts), ys=np.asarray(ys), stats=stats)
+    return fixed_step_solve(step, t_span, y0, dt=dt, rhs_per_step=4,
+                            step_callback=step_callback, observer=observer,
+                            record=record, stepper=stepper)

@@ -101,6 +101,11 @@ class Solution:
         ``False`` if the solver aborted (e.g. step size underflow).
     message:
         Human-readable status.
+    backend:
+        What ran, set by the simulation driver: the stacked backend's
+        ``describe()`` (backend, kernel, threads, ...) plus
+        ``"stepper"`` — whether the compiled fixed-step stepper
+        advanced the state.  ``None`` for a bare solver call.
     """
 
     ts: np.ndarray
@@ -109,6 +114,7 @@ class Solution:
     dense: Callable[[np.ndarray], np.ndarray] | None = None
     success: bool = True
     message: str = "completed"
+    backend: dict | None = None
 
     def __post_init__(self) -> None:
         self.ts = np.asarray(self.ts, dtype=float)
@@ -179,7 +185,8 @@ class Solution:
         ts = np.linspace(self.t0, self.t_end, n_points)
         ys = self(ts)
         return Solution(ts=ts, ys=ys, stats=self.stats, dense=self.dense,
-                        success=self.success, message=self.message)
+                        success=self.success, message=self.message,
+                        backend=self.backend)
 
 
 def _interp_rows(t: np.ndarray, ts: np.ndarray, ys: np.ndarray) -> np.ndarray:

@@ -38,6 +38,16 @@ builder metadata): distance rings (:func:`ring_offsets`) replace the
 gather/scatter with contiguous shifted passes, and 2-D tori
 (:func:`torus_halo`) decompose into column ring passes plus per-row halo
 passes — both unit-stride, both row-partitionable.
+
+Fixed-step stepper
+------------------
+A second translation unit (:data:`_STEPPER_SOURCE`) advances a bound
+``(R, N)`` stack ``K`` rk4 or euler steps per ctypes call
+(:class:`FixedStepper`): the intrinsic frequency per noise window, the
+coupling through the entry points above, and the stage combinations in
+NumPy's exact operation order.  It is compiled without ``-ffast-math``
+and with ``-ffp-contract=off`` (no FMA contraction), so its arithmetic
+is the IEEE arithmetic of the NumPy loop it replaces, bit for bit.
 """
 
 from __future__ import annotations
@@ -66,6 +76,8 @@ __all__ = [
     "ring_batched",
     "torus_single",
     "torus_batched",
+    "FixedStepper",
+    "STEPPER_METHODS",
 ]
 
 _SOURCE = r"""
@@ -384,9 +396,148 @@ void pom_fused_torus_batched(const int64_t *col_offs, int64_t n_col,
 }
 """
 
+_STEPPER_SOURCE = r"""
+#include <math.h>
+#include <stdint.h>
+
+/* Coupling entry points of the kernel translation unit. */
+void pom_fused_batched(const int32_t *, const int32_t *, int64_t,
+                       const double *, double *, int64_t, int64_t,
+                       const int64_t *, const double *, const double *,
+                       const double *, double *, double *, int64_t, int64_t);
+void pom_fused_ring_batched(const int64_t *, int64_t, const double *, double *,
+                            int64_t, int64_t, const int64_t *, const double *,
+                            const double *, const double *, double *, double *,
+                            int64_t, int64_t);
+void pom_fused_torus_batched(const int64_t *, int64_t, const int64_t *,
+                             int64_t, int64_t, const double *, double *,
+                             int64_t, int64_t, const int64_t *,
+                             const double *, const double *, const double *,
+                             double *, double *, int64_t, int64_t);
+
+enum { TOPO_EDGES = 0, TOPO_RING = 1, TOPO_TORUS = 2 };
+
+/* Everything one stacked backend binds once (field order and 8-byte
+ * types mirror the ctypes structure in cc.py). */
+typedef struct {
+    int64_t topo, coupled, r_count, n;
+    const int32_t *rows, *cols;
+    int64_t n_edges;
+    const int64_t *offsets; /* ring offsets, or torus whole-lattice offsets */
+    int64_t n_offsets;
+    const int64_t *row_dxs;
+    int64_t n_dx, w;
+    const int64_t *kinds;
+    const double *p0, *p1, *vp;
+    double *sd, *sv;
+    int64_t block, threads;
+    const double *periods;  /* (R,) cycle periods */
+    const double *zeta;     /* (n_windows, R, N) frozen noise stack */
+    int64_t n_windows;
+    double zeta_t0, zeta_dt;
+    double *stage, *acc, *k; /* (R, N) scratch each */
+} pom_stepper;
+
+/* k = intrinsic frequency + coupling at (t, y) — the arithmetic of
+ * HeteroBatchedBackend.rhs: the noise window floor((t - t0)/dt) clamped
+ * to the stack, 2*pi/(T + zeta) where that period is finite and
+ * positive, else 0 (a stalled process). */
+static void rhs(const pom_stepper *s, double t, const double *y, double *k) {
+    int64_t n = s->n, r, i;
+    double q = floor((t - s->zeta_t0) / s->zeta_dt);
+    int64_t win = 0;
+    const double *z;
+    if (q > 0.0)
+        win = q >= (double)(s->n_windows - 1) ? s->n_windows - 1 : (int64_t)q;
+    z = s->zeta + win * s->r_count * n;
+    if (!s->coupled) {
+        for (i = 0; i < s->r_count * n; ++i)
+            k[i] = 0.0;
+    } else if (s->topo == TOPO_RING) {
+        pom_fused_ring_batched(s->offsets, s->n_offsets, y, k, s->r_count, n,
+                               s->kinds, s->p0, s->p1, s->vp, s->sd, s->sv,
+                               s->block, s->threads);
+    } else if (s->topo == TOPO_TORUS) {
+        pom_fused_torus_batched(s->offsets, s->n_offsets, s->row_dxs, s->n_dx,
+                                s->w, y, k, s->r_count, n, s->kinds, s->p0,
+                                s->p1, s->vp, s->sd, s->sv, s->block,
+                                s->threads);
+    } else {
+        pom_fused_batched(s->rows, s->cols, s->n_edges, y, k, s->r_count, n,
+                          s->kinds, s->p0, s->p1, s->vp, s->sd, s->sv,
+                          s->block, s->threads);
+    }
+    for (r = 0; r < s->r_count; ++r) {
+        double period = s->periods[r];
+        const double *zr = z + r * n;
+        double *kr = k + r * n;
+        for (i = 0; i < n; ++i) {
+            double denom = period + zr[i];
+            double freq = (isfinite(denom) && denom > 0.0)
+                              ? (2.0 * 3.141592653589793) / denom : 0.0;
+            kr[i] = freq + kr[i];
+        }
+    }
+}
+
+/* `steps` classic RK4 steps of size h from (t, y0); state k lands in
+ * ys[k] and its time in ts[k].  The stage order is solve_rk4's:
+ * y + (0.5*h)*k1, y + (0.5*h)*k2, y + h*k3, then
+ * y + (h/6)*(((k1 + 2*k2) + 2*k3) + k4), accumulated left to right. */
+void pom_step_rk4(const pom_stepper *s, double t, double h, int64_t steps,
+                  const double *y0, double *ts, double *ys) {
+    int64_t m = s->r_count * s->n, j, step;
+    double hh = 0.5 * h, h6 = h / 6.0;
+    double *stage = s->stage, *acc = s->acc, *k = s->k;
+    const double *y = y0;
+    for (step = 0; step < steps; ++step) {
+        double *yn = ys + step * m;
+        rhs(s, t, y, acc);
+        for (j = 0; j < m; ++j)
+            stage[j] = y[j] + hh * acc[j];
+        rhs(s, t + hh, stage, k);
+        for (j = 0; j < m; ++j) {
+            stage[j] = y[j] + hh * k[j];
+            acc[j] = acc[j] + 2.0 * k[j];
+        }
+        rhs(s, t + hh, stage, k);
+        for (j = 0; j < m; ++j) {
+            stage[j] = y[j] + h * k[j];
+            acc[j] = acc[j] + 2.0 * k[j];
+        }
+        rhs(s, t + h, stage, k);
+        for (j = 0; j < m; ++j)
+            yn[j] = y[j] + h6 * (acc[j] + k[j]);
+        t = t + h;
+        ts[step] = t;
+        y = yn;
+    }
+}
+
+/* `steps` explicit Euler steps: y + h*f(t, y), as solve_euler. */
+void pom_step_euler(const pom_stepper *s, double t, double h, int64_t steps,
+                    const double *y0, double *ts, double *ys) {
+    int64_t m = s->r_count * s->n, j, step;
+    double *k = s->k;
+    const double *y = y0;
+    for (step = 0; step < steps; ++step) {
+        double *yn = ys + step * m;
+        rhs(s, t, y, k);
+        for (j = 0; j < m; ++j)
+            yn[j] = y[j] + h * k[j];
+        t = t + h;
+        ts[step] = t;
+        y = yn;
+    }
+}
+"""
+
 #: edge-block length (doubles); two scratch blocks per thread stay
 #: L2-resident
 BLOCK_EDGES = 16384
+
+#: integration schemes the compiled stepper implements
+STEPPER_METHODS = ("rk4", "euler")
 
 #: (compile flags, extra link flags) tried in order until one builds.
 #: NOTE: the object is compiled with -ffast-math (needed for the libmvec
@@ -429,6 +580,19 @@ _FLAG_SETS = (
     (["-O2", "-fPIC"], []),
 )
 
+
+def _exact_flags(flags: list[str]) -> list[str]:
+    """The stepper unit's flags: IEEE-exact, so no fast-math and no FMA."""
+    return [f for f in flags if f != "-ffast-math"] + ["-ffp-contract=off"]
+
+
+#: translation units linked into the one library: (name, source, flags
+#: derived from the flag set being tried)
+_UNITS = (
+    ("kernel", _SOURCE, list),
+    ("stepper", _STEPPER_SOURCE, _exact_flags),
+)
+
 _lib: ctypes.CDLL | None = None
 _lib_failed = False
 
@@ -454,11 +618,28 @@ def _cpu_tag() -> str:
     return platform.machine() + platform.system() + flags
 
 
+def _build_key(compiler: str | None) -> str:
+    """Content address of the library a build would produce.
+
+    Covers every input of :func:`_build`: each unit's source and the
+    exact compile and link flags of every flag set tried, the resolved
+    compiler, plus the interpreter, NumPy and host ISA.  A change to any
+    of them yields a new path instead of loading a stale binary.
+    """
+    parts = [sys.version, np.__version__, _cpu_tag(), str(compiler)]
+    if compiler is not None:
+        parts.append(os.path.realpath(compiler))
+    for name, source, _ in _UNITS:
+        parts += [name, source]
+    for flags, link_extra in _FLAG_SETS:
+        for name, _, unit_flags in _UNITS:
+            parts.append(f"{name}: {' '.join(unit_flags(flags))}")
+        parts.append("link: " + " ".join(link_extra))
+    return hashlib.sha1("\0".join(parts).encode()).hexdigest()[:16]
+
+
 def _cache_path() -> str | None:
-    digest = hashlib.sha1(
-        (_SOURCE + sys.version + np.__version__ + _cpu_tag()).encode()
-    )
-    tag = digest.hexdigest()[:16]
+    tag = _build_key(_compiler())
     uid = os.getuid() if hasattr(os, "getuid") else "u"
     d = os.path.join(tempfile.gettempdir(), f"pom-cc-kernel-{uid}-{tag}")
     # The directory sits in a world-writable location: create it private
@@ -474,23 +655,30 @@ def _build(path: str) -> bool:
     compiler = _compiler()
     if compiler is None:
         return False
-    src = path[:-3] + ".c"
-    with open(src, "w") as fh:
-        fh.write(_SOURCE)
+    srcs = []
+    for name, source, _ in _UNITS:
+        srcs.append(f"{path[:-3]}_{name}.c")
+        with open(srcs[-1], "w") as fh:
+            fh.write(source)
     for flags, link_extra in _FLAG_SETS:
-        obj = f"{path}.o{os.getpid()}"
+        objs = [f"{src}.o{os.getpid()}" for src in srcs]
         tmp = f"{path}.tmp{os.getpid()}"
-        compile_cmd = [compiler, "-c", *flags, "-o", obj, src]
-        link_cmd = [compiler, "-shared", *link_extra, "-o", tmp, obj, "-lm"]
+        cmds = [
+            [compiler, "-c", *unit_flags(flags), "-o", obj, src]
+            for (_, _, unit_flags), src, obj in zip(_UNITS, srcs, objs)
+        ]
+        cmds.append([compiler, "-shared", *link_extra, "-o", tmp, *objs, "-lm"])
         try:
-            proc = subprocess.run(compile_cmd, capture_output=True, timeout=120)
-            if proc.returncode == 0:
-                proc = subprocess.run(link_cmd, capture_output=True, timeout=120)
+            for cmd in cmds:
+                proc = subprocess.run(cmd, capture_output=True, timeout=120)
+                if proc.returncode != 0:
+                    break
         except (OSError, subprocess.SubprocessError):
             continue
         finally:
-            if os.path.exists(obj):
-                os.unlink(obj)
+            for obj in objs:
+                if os.path.exists(obj):
+                    os.unlink(obj)
         if proc.returncode == 0:
             os.replace(tmp, path)  # atomic: concurrent builders agree
             return True
@@ -517,6 +705,11 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         fn = getattr(lib, name)
         fn.restype = None
         fn.argtypes = head + tail
+    f64 = ctypes.c_double
+    for method in STEPPER_METHODS:
+        fn = getattr(lib, f"pom_step_{method}")
+        fn.restype = None
+        fn.argtypes = [ptr, f64, f64, i64, ptr, ptr, ptr]
     return lib
 
 
@@ -598,8 +791,13 @@ def _scratch_buffers(threads: int = 1) -> "_Scratch":
     return scratch
 
 
-def _clamp_threads(threads: int) -> int:
-    """Effective OpenMP team size: 1 unless the binary supports more."""
+def clamp_threads(threads: int) -> int:
+    """Effective OpenMP team size: 1 unless the binary supports more.
+
+    Backends resolve this once; the entry points below take the count
+    as given (a serial binary ignores it, so only the scratch size
+    depends on it).
+    """
     t = int(threads)
     if t <= 1:
         return 1
@@ -685,7 +883,7 @@ def _call(
     threads: int,
 ) -> np.ndarray:
     """Run one batched entry point on a contiguous ``(R, N)`` stack."""
-    threads = _clamp_threads(threads)
+    threads = max(int(threads), 1)
     scratch = _scratch_buffers(threads)
     r, n = theta.shape
     fn(
@@ -758,6 +956,146 @@ def torus_batched(
     head += (row_dxs.size, w)
     fn = load_library().pom_fused_torus_batched
     return _call(fn, head, theta, out, kinds, p0, p1, vp_over_n, threads)
+
+
+class _StepperArgs(ctypes.Structure):
+    """Mirror of the ``pom_stepper`` struct in :data:`_STEPPER_SOURCE`."""
+
+    _fields_ = [
+        ("topo", ctypes.c_int64),
+        ("coupled", ctypes.c_int64),
+        ("r_count", ctypes.c_int64),
+        ("n", ctypes.c_int64),
+        ("rows", ctypes.c_void_p),
+        ("cols", ctypes.c_void_p),
+        ("n_edges", ctypes.c_int64),
+        ("offsets", ctypes.c_void_p),
+        ("n_offsets", ctypes.c_int64),
+        ("row_dxs", ctypes.c_void_p),
+        ("n_dx", ctypes.c_int64),
+        ("w", ctypes.c_int64),
+        ("kinds", ctypes.c_void_p),
+        ("p0", ctypes.c_void_p),
+        ("p1", ctypes.c_void_p),
+        ("vp", ctypes.c_void_p),
+        ("sd", ctypes.c_void_p),
+        ("sv", ctypes.c_void_p),
+        ("block", ctypes.c_int64),
+        ("threads", ctypes.c_int64),
+        ("periods", ctypes.c_void_p),
+        ("zeta", ctypes.c_void_p),
+        ("n_windows", ctypes.c_int64),
+        ("zeta_t0", ctypes.c_double),
+        ("zeta_dt", ctypes.c_double),
+        ("stage", ctypes.c_void_p),
+        ("acc", ctypes.c_void_p),
+        ("k", ctypes.c_void_p),
+    ]
+
+
+class FixedStepper:
+    """``K`` rk4 or euler steps of a bound ``(R, N)`` stack per C call.
+
+    Every array address is bound here, once per solve; a call passes
+    only the time, the step, and the chunk buffers.  The topology comes
+    as exactly one of ``ring`` (offsets from :func:`ring_offsets`),
+    ``torus`` (the :func:`torus_halo` triple) or ``edges`` (int32
+    ``(rows, cols)``).  ``zeta`` is the ``(windows, R, N)`` noise stack
+    on the grid ``t0 + k * dt``.  The stage scratch belongs to the
+    instance, so one stepper serves one solve at a time.
+    """
+
+    def __init__(
+        self,
+        method: str,
+        *,
+        kinds: np.ndarray,
+        p0: np.ndarray,
+        p1: np.ndarray,
+        vp_over_n: np.ndarray,
+        periods: np.ndarray,
+        zeta: np.ndarray,
+        zeta_t0: float,
+        zeta_dt: float,
+        coupled: bool,
+        threads: int,
+        ring: np.ndarray | None = None,
+        torus: tuple[int, np.ndarray, np.ndarray] | None = None,
+        edges: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> None:
+        if method not in STEPPER_METHODS:
+            raise ValueError(f"no compiled stepper for method {method!r}")
+        self._fn = getattr(load_library(), f"pom_step_{method}")
+        _, r, n = zeta.shape
+        threads = clamp_threads(threads)
+        keep = {
+            "kinds": np.ascontiguousarray(kinds, dtype=np.int64),
+            "p0": np.ascontiguousarray(p0, dtype=float),
+            "p1": np.ascontiguousarray(p1, dtype=float),
+            "vp": np.ascontiguousarray(vp_over_n, dtype=float),
+            "periods": np.ascontiguousarray(periods, dtype=float).ravel(),
+            "zeta": np.ascontiguousarray(zeta, dtype=float),
+            "sd": _aligned_empty(threads * BLOCK_EDGES),
+            "sv": _aligned_empty(threads * BLOCK_EDGES),
+            "k": np.empty((r, n)),
+        }
+        if method == "rk4":
+            keep["stage"] = np.empty((r, n))
+            keep["acc"] = np.empty((r, n))
+        args = _StepperArgs(
+            coupled=int(coupled),
+            r_count=r,
+            n=n,
+            block=BLOCK_EDGES,
+            threads=threads,
+            n_windows=zeta.shape[0],
+            zeta_t0=zeta_t0,
+            zeta_dt=zeta_dt,
+        )
+        if ring is not None:
+            keep["offsets"] = np.ascontiguousarray(ring, dtype=np.int64)
+            args.topo, args.n_offsets = 1, ring.size
+        elif torus is not None:
+            args.w, offsets, row_dxs = torus
+            keep["offsets"] = np.ascontiguousarray(offsets, dtype=np.int64)
+            keep["row_dxs"] = np.ascontiguousarray(row_dxs, dtype=np.int64)
+            args.topo, args.n_offsets, args.n_dx = 2, offsets.size, row_dxs.size
+        else:
+            keep["rows"] = np.ascontiguousarray(edges[0], dtype=np.int32)
+            keep["cols"] = np.ascontiguousarray(edges[1], dtype=np.int32)
+            args.topo, args.n_edges = 0, edges[0].size
+        for name, arr in keep.items():
+            setattr(args, name, arr.ctypes.data)
+        self._keep = keep
+        self._args = args
+        self._addr = ctypes.addressof(args)
+
+    def __call__(
+        self, t: float, h: float, y: np.ndarray, ts: np.ndarray, ys: np.ndarray
+    ) -> None:
+        """Advance ``len(ts)`` steps of size ``h`` from ``(t, y)``.
+
+        State ``k`` lands in ``ys[k]`` and its time in ``ts[k]``; all
+        three arrays must be C-contiguous float64 (``ys`` is ``(K, R,
+        N)``).
+        """
+        size = self._keep["k"].size
+        arrays = (y, ts, ys)
+        if (
+            any(a.dtype != np.float64 or not a.flags.c_contiguous for a in arrays)
+            or y.size != size
+            or ys.size != size * ts.size
+        ):
+            raise ValueError("stepper buffers do not match the bound stack")
+        self._fn(
+            self._addr,
+            t,
+            h,
+            ts.shape[0],
+            y.ctypes.data,
+            ts.ctypes.data,
+            ys.ctypes.data,
+        )
 
 
 # One-state forms: the batched entry points at R=1, which are

@@ -47,6 +47,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ..integrate.fixed import CHUNK_BYTES
+
 __all__ = [
     "HISTOGRAM_BINS",
     "METRIC_NAMES",
@@ -126,23 +128,29 @@ def parse_trajectories(mode: str):
 # bit-identical)
 # ----------------------------------------------------------------------
 def sample_order_parameter(y: np.ndarray) -> np.ndarray:
-    """Kuramoto ``r`` of each member row of a ``(R, N)`` state."""
-    return np.abs(np.exp(1j * y).mean(axis=1))
+    """Kuramoto ``r`` of each member row of a ``(..., R, N)`` state."""
+    return np.abs(np.exp(1j * y).mean(axis=-1))
 
 
 def sample_phase_spread(y: np.ndarray) -> np.ndarray:
     """``max - min`` phase spread of each member row."""
-    return y.max(axis=1) - y.min(axis=1)
+    return y.max(axis=-1) - y.min(axis=-1)
 
 
 def sample_energy(y: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                   potentials: Sequence, vp_over_2n: np.ndarray) -> np.ndarray:
-    """Interaction energy of each member row, on the shared edge list."""
-    d = y[:, rows] - y[:, cols]
-    out = np.empty(len(potentials), dtype=float)
+    """Interaction energy of each member row, on the shared edge list.
+
+    ``y`` is ``(..., R, N)``; the result is ``(..., R)``.
+    """
+    out = np.empty(y.shape[:-1], dtype=float)
     for r, pot in enumerate(potentials):
-        u = np.asarray(pot.antiderivative(d[r]), dtype=float)
-        out[r] = vp_over_2n[r] * u.sum()
+        # C-ordered (..., E) rows, so each sum is the pairwise sum of
+        # one contiguous row whatever the leading shape
+        yr = y[..., r, :]
+        d = yr[..., rows] - yr[..., cols]
+        u = np.ascontiguousarray(pot.antiderivative(d), dtype=float)
+        out[..., r] = vp_over_2n[r] * u.sum(axis=-1)
     return out
 
 
@@ -196,33 +204,42 @@ class StreamingObserver:
 
     def __call__(self, t: float, y: np.ndarray) -> None:
         """Observe the state at one accepted step (or ``t0``)."""
-        t = float(t)
-        self._ts.append(t)
+        self.fold(np.array([t], dtype=float), y[None])
+
+    def fold(self, ts: np.ndarray, ys: np.ndarray) -> None:
+        """Observe ``K`` consecutive accepted steps at once.
+
+        ``ys`` is the ``(K, R, N)`` block of states at times ``ts``
+        ``(K,)``.  Every reduction runs per state row in the order of
+        ``K`` single calls, so a fold equals them bit for bit.
+        """
+        ts = np.asarray(ts, dtype=float)
+        self._ts.extend(ts.tolist())
         for name in self.metrics:
             if name == "order_parameter":
-                self._series[name].append(sample_order_parameter(y))
+                self._series[name].append(sample_order_parameter(ys))
             elif name == "phase_spread":
-                self._series[name].append(sample_phase_spread(y))
+                self._series[name].append(sample_phase_spread(ys))
             elif name == "energy":
                 self._series[name].append(sample_energy(
-                    y, self._rows, self._cols, self._potentials,
+                    ys, self._rows, self._cols, self._potentials,
                     self._vp_over_2n))
             elif name == "wavefront":
-                x = y - self._omegas * t
+                x = ys - self._omegas * ts[:, None, None]
                 if self._baseline is None:
-                    self._baseline = np.array(x)
-                    self._arrivals = np.full(y.shape, np.inf)
-                newly = ((self._baseline - x >= self._threshold)
-                         & np.isinf(self._arrivals))
-                self._arrivals[newly] = t
+                    self._baseline = np.array(x[0])
+                    self._arrivals = np.full(x.shape[1:], np.inf)
+                hit = self._baseline - x >= self._threshold
+                newly = hit.any(axis=0) & np.isinf(self._arrivals)
+                self._arrivals[newly] = ts[hit.argmax(axis=0)[newly]]
             elif name == "phase_histogram":
-                idx = sample_histogram_indices(y, self._n_bins)
+                idx = sample_histogram_indices(ys, self._n_bins)
                 if self._counts is None:
-                    self._counts = np.zeros((y.shape[0], self._n_bins),
+                    self._counts = np.zeros((ys.shape[1], self._n_bins),
                                             dtype=np.int64)
-                for r in range(idx.shape[0]):
+                for r in range(ys.shape[1]):
                     self._counts[r] += np.bincount(
-                        idx[r], minlength=self._n_bins)
+                        idx[:, r].ravel(), minlength=self._n_bins)
 
     @property
     def n_observed(self) -> int:
@@ -237,7 +254,8 @@ class StreamingObserver:
             "metrics_ts": np.asarray(self._ts, dtype=float)}
         for name in self.metrics:
             if name in SERIES_METRICS:
-                out[f"metric_{name}"] = np.stack(self._series[name], axis=1)
+                out[f"metric_{name}"] = np.ascontiguousarray(
+                    np.concatenate(self._series[name]).T)
             elif name == "wavefront":
                 out["metric_wavefront"] = self._arrivals
             elif name == "phase_histogram":
@@ -263,6 +281,8 @@ def metrics_from_trajectories(ts: np.ndarray, thetas: np.ndarray,
     if thetas.shape[1] != ts.shape[0]:
         raise ValueError("shape mismatch between ts and thetas")
     obs = StreamingObserver(models, metrics, n_bins=n_bins)
-    for k in range(ts.shape[0]):
-        obs(ts[k], np.ascontiguousarray(thetas[:, k, :]))
+    step = max(1, CHUNK_BYTES // max(thetas[:, 0].nbytes, 1))
+    for k in range(0, ts.shape[0], step):
+        block = thetas[:, k:k + step].transpose(1, 0, 2)
+        obs.fold(ts[k:k + step], np.ascontiguousarray(block))
     return obs.finalize()

@@ -53,6 +53,29 @@ class TestExecution:
         assert "verdict" in out
         assert "beta*kappa=2" in out
 
+    @pytest.mark.parametrize("flags, expect", [
+        (["--backend", "dense"], "backend=dense stepper=off"),
+        (["--kernel", "numpy"], "backend=sparse kernel=numpy stepper=off"),
+        (["--kernel", "tiled", "--threads", "1"],
+         "backend=sparse kernel=tiled stepper=off"),
+    ])
+    def test_model_reports_what_ran(self, capsys, flags, expect):
+        rc = main(["model", "--n", "8", "--t-end", "5", "--view", "summary",
+                   *flags])
+        assert rc == 0
+        assert expect in capsys.readouterr().out
+
+    def test_model_reports_resolved_auto_kernel(self, capsys):
+        from repro.kernels import cc_available
+
+        # "auto" on a sparse ring: the line names the resolved kernel
+        rc = main(["model", "--n", "64", "--t-end", "5", "--view",
+                   "summary"])
+        assert rc == 0
+        kernel = "cc" if cc_available() else "numpy"
+        assert f"backend=sparse kernel={kernel} stepper=off" in \
+            capsys.readouterr().out
+
     def test_model_circle_view(self, capsys):
         rc = main(["model", "--n", "8", "--t-end", "10",
                    "--view", "circle"])

@@ -100,8 +100,12 @@ def _digest(thetas: np.ndarray) -> str:
         np.ascontiguousarray(thetas, dtype=np.float64).tobytes()).hexdigest()
 
 
-def solve_entry_points(case) -> dict[str, str]:
-    """sha256 of ``thetas`` for one case through every entry point."""
+def solve_entry_points(case, ran: dict | None = None) -> dict[str, str]:
+    """sha256 of ``thetas`` for one case through every entry point.
+
+    ``ran``, when given, receives each in-process entry point's
+    ``Solution.backend`` report (backend, kernel, stepper).
+    """
     d = _model_dict(case)
     model = model_from_spec(d)
     theta0 = initial_from_spec(INITIAL, model.n)
@@ -119,6 +123,9 @@ def solve_entry_points(case) -> dict[str, str]:
                                 "n_samples": case["n_samples"]},
                         initial=INITIAL, seed=SEED)
     run = run_plan(compile_plan(spec), jobs=1)
+    if ran is not None:
+        ran.update({name: traj.solution.backend
+                    for name, traj in out.items()})
     digests = {name: _digest(traj.thetas) for name, traj in out.items()}
     digests["run_plan"] = _digest(run.members[0].thetas)
     return digests
@@ -161,20 +168,36 @@ def _load_pins() -> dict:
 
 
 @lru_cache(maxsize=None)
+def _solved_with_report(cid: str) -> tuple[dict[str, str], dict]:
+    ran: dict = {}
+    return solve_entry_points(dict(CASES)[cid], ran), ran
+
+
 def _solved(cid: str) -> dict[str, str]:
-    return solve_entry_points(dict(CASES)[cid])
+    return _solved_with_report(cid)[0]
 
 
 @pytest.mark.parametrize("cid", [c for c, _ in CASES])
 def test_cross_path_identities(cid):
     """Entry points sharing a backend agree bit for bit on every host."""
-    got = _solved(cid)
+    got, ran = _solved_with_report(cid)
     assert got["simulate_grid"] == got["run_plan"]
     assert got["simulate_batched"] == got["simulate"]
     if not cid.startswith("all_to_all"):
         # backend "auto" picks the edge-list kernel here, like the
         # grid paths always do
         assert got["simulate"] == got["simulate_grid"]
+    # The compiled stepper serves every rk4/euler solve on the cc kernel
+    # without delays; the pins above then hold its bits.
+    case = dict(CASES)[cid]
+    for name, report in ran.items():
+        expect = (case["method"] in ("rk4", "euler")
+                  and report["kernel"] == "cc"
+                  and not case["one_off"] and not case["inter"])
+        assert report["stepper"] is expect, name
+    if cc_available() and case["method"] in ("rk4", "euler") \
+            and not case["one_off"] and not case["inter"]:
+        assert ran["simulate_grid"]["stepper"]
 
 
 def test_pins_unchanged():

@@ -463,3 +463,42 @@ class TestCompiledSingleForms:
             if halo is not None:
                 np.testing.assert_array_equal(cc_kernels.torus_single(
                     halo, theta, np.empty(topo.n), *args), batched[r])
+
+
+class TestBuildCacheKey:
+    """The library's cache path covers every input of the build."""
+
+    @pytest.fixture(autouse=True)
+    def _private_tmp(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cc_kernels.tempfile, "tempdir", str(tmp_path))
+
+    def test_stable(self):
+        assert cc_kernels._cache_path() == cc_kernels._cache_path()
+
+    def test_flag_set_change_moves_the_path(self, monkeypatch):
+        before = cc_kernels._cache_path()
+        flags, link = cc_kernels._FLAG_SETS[0]
+        monkeypatch.setattr(cc_kernels, "_FLAG_SETS",
+                            ((flags + ["-funroll-loops"], link),)
+                            + cc_kernels._FLAG_SETS[1:])
+        assert cc_kernels._cache_path() != before
+
+    def test_compiler_change_moves_the_path(self, monkeypatch):
+        before = cc_kernels._cache_path()
+        monkeypatch.setattr(cc_kernels, "_compiler",
+                            lambda: "/opt/other-toolchain/bin/cc")
+        assert cc_kernels._cache_path() != before
+
+    def test_unit_source_change_moves_the_path(self, monkeypatch):
+        before = cc_kernels._cache_path()
+        (name, source, flags), rest = (cc_kernels._UNITS[-1],
+                                       cc_kernels._UNITS[:-1])
+        monkeypatch.setattr(cc_kernels, "_UNITS",
+                            rest + ((name, source + "\n", flags),))
+        assert cc_kernels._cache_path() != before
+
+    def test_stepper_unit_is_ieee_exact(self):
+        for flags, _ in cc_kernels._FLAG_SETS:
+            exact = cc_kernels._exact_flags(flags)
+            assert "-ffast-math" not in exact
+            assert "-ffp-contract=off" in exact

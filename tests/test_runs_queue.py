@@ -257,8 +257,13 @@ class TestKilledWorkerResume:
                                                   monkeypatch):
         """End-to-end chaos through run_plan_queue itself: the injected
         kill takes a spawned worker down and the orchestrator recovers
-        without outside help."""
-        monkeypatch.setenv("POM_FAULTS", "kill:shard=1")
+        without outside help.
+
+        The stall holds the other worker on shard 0 for three
+        orchestrator polls, so the death is seen while work is still
+        pending however fast the shards solve (a lone survivor that
+        drains everything else first needs no replacement)."""
+        monkeypatch.setenv("POM_FAULTS", "kill:shard=1;stall:shard=0,secs=0.6")
         monkeypatch.setenv("POM_FAULTS_STATE", str(tmp_path / "faults"))
         res = run_spec(grid_spec(), jobs=2, shard_members=2,
                        queue=tmp_path / "q.db",
