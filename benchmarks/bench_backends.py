@@ -17,9 +17,12 @@ Measures the three claims of the backend layer:
    vs. ``batched=True``.
 4. **Stepper** — µs per RHS evaluation of a whole rk4 solve on a noisy
    bottleneck ring (the ``paper_sweep`` shape) at N = 24 / 32 / 128 /
-   1024 and R = 1 / 16: the per-RHS Python loop vs. the compiled
-   fixed-step stepper on the same ``cc`` backend (bit-identical
-   results, asserted).  CI floors the stepper speedup at N = 32.
+   1024 and R = 1 / 16, and on a noisy tanh 16x16 torus (the
+   ``campaign_io`` shape) at R = 1 / 4: the per-RHS Python loop vs. the
+   compiled fixed-step stepper on the same ``cc`` backend (bit-identical
+   results, asserted).  CI floors the stepper speedup at N = 32 and
+   caps the stepper's absolute µs per RHS at ring N = 32, R = 16 and
+   torus 16x16, R = 4.
 5. **Kernel ladder** — the large-N regime (ring N = 1e4 / 1e5 and a
    ~1e5-rank torus, built edge-native so no dense matrix is ever
    materialised): one single-state and one 8-member batched RHS
@@ -58,6 +61,7 @@ from repro.core import (
     ring,
     ring_edges,
     run_ensemble,
+    torus2d,
     torus2d_edges,
 )
 
@@ -161,7 +165,23 @@ def bench_ensemble(n: int, r: int, t_end: float, repeats: int) -> dict:
     }
 
 
-def bench_stepper(ns, rs, steps: int, repeats: int) -> dict:
+def _stepper_cases():
+    """``(key, topology, potential of member i, R)`` for the stepper leg.
+
+    Noisy bottleneck rings (the ``paper_sweep`` shape) and the noisy
+    tanh 16x16 torus at ``campaign_io``'s shard size.
+    """
+    def bottleneck(i):
+        return BottleneckPotential(sigma=0.5 + 0.25 * (i % 8))
+
+    for n in (24, 32, 128, 1024):
+        for r in (1, 16):
+            yield f"n{n}_r{r}", ring(n, (1, -1)), bottleneck, r
+    for r in (1, 4):
+        yield f"torus16x16_r{r}", torus2d(16, 16), lambda i: TanhPotential(), r
+
+
+def bench_stepper(steps: int, repeats: int) -> dict:
     """µs per RHS evaluation: Python rk4 loop vs. the compiled stepper.
 
     Both solve the same stacked ``cc`` backend over ``steps`` rk4 steps
@@ -174,33 +194,32 @@ def bench_stepper(ns, rs, steps: int, repeats: int) -> dict:
         return {}
     dt = 0.01
     out: dict = {"metric": "us per RHS evaluation, rk4", "steps": steps}
-    for n in ns:
-        for r in rs:
-            members = [PhysicalOscillatorModel(
-                topology=ring(n, (1, -1)),
-                potential=BottleneckPotential(sigma=0.5 + 0.25 * (i % 8)),
-                t_comp=0.9, t_comm=0.1,
-                local_noise=GaussianJitter(std=0.01, refresh=0.5),
-            ).realize(steps * dt, rng=i) for i in range(r)]
-            backend = make_batched_backend(members, "sparse", kernel="cc")
-            rhs = backend.make_ode_rhs()
-            stepper = backend.make_stepper("rk4")
-            theta0 = np.random.default_rng(n).normal(0.0, 1e-3, (r, n))
+    for key, topology, potential, r in _stepper_cases():
+        members = [PhysicalOscillatorModel(
+            topology=topology, potential=potential(i),
+            t_comp=0.9, t_comm=0.1,
+            local_noise=GaussianJitter(std=0.01, refresh=0.5),
+        ).realize(steps * dt, rng=i) for i in range(r)]
+        backend = make_batched_backend(members, "sparse", kernel="cc")
+        rhs = backend.make_ode_rhs()
+        stepper = backend.make_stepper("rk4")
+        theta0 = np.random.default_rng(topology.n).normal(
+            0.0, 1e-3, (r, topology.n))
 
-            def solve(with_stepper):
-                return solve_rk4(rhs, (0.0, steps * dt), theta0, dt=dt,
-                                 record="none",
-                                 stepper=stepper if with_stepper else None)
+        def solve(with_stepper):
+            return solve_rk4(rhs, (0.0, steps * dt), theta0, dt=dt,
+                             record="none",
+                             stepper=stepper if with_stepper else None)
 
-            np.testing.assert_array_equal(solve(True).ys, solve(False).ys)
-            loop = _time_best(lambda: solve(False), repeats)
-            fast = _time_best(lambda: solve(True), repeats)
-            n_rhs = 4 * steps
-            out[f"n{n}_r{r}"] = {
-                "python_us_per_rhs": loop / n_rhs * 1e6,
-                "stepper_us_per_rhs": fast / n_rhs * 1e6,
-                "speedup_stepper_vs_python": loop / fast,
-            }
+        np.testing.assert_array_equal(solve(True).ys, solve(False).ys)
+        loop = _time_best(lambda: solve(False), repeats)
+        fast = _time_best(lambda: solve(True), repeats)
+        n_rhs = 4 * steps
+        out[key] = {
+            "python_us_per_rhs": loop / n_rhs * 1e6,
+            "stepper_us_per_rhs": fast / n_rhs * 1e6,
+            "speedup_stepper_vs_python": loop / fast,
+        }
     return out
 
 
@@ -316,8 +335,7 @@ def main(argv: list[str] | None = None) -> int:
         "batched_rhs": bench_batched_rhs(rhs_n, 8, repeats),
         "batched_rhs_small": bench_batched_rhs(128, 8, repeats),
         "ensemble": bench_ensemble(ens_n, 8, ens_t, 3),
-        "stepper": bench_stepper((24, 32, 128, 1024), (1, 16),
-                                 300 if args.quick else 1500,
+        "stepper": bench_stepper(300 if args.quick else 1500,
                                  3 if args.quick else 5),
         "kernels_available": _ladder_kernels(),
         "kernel_ladder": bench_kernel_ladder(args.quick, repeats),
@@ -345,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
           f"=> {er['speedup_batched_vs_sequential']:.1f}x")
     for key, case in result["stepper"].items():
         if isinstance(case, dict):
-            print(f"stepper ring {key}: python "
+            print(f"stepper {key}: python "
                   f"{case['python_us_per_rhs']:.1f} us/rhs, stepper "
                   f"{case['stepper_us_per_rhs']:.1f} us/rhs "
                   f"=> {case['speedup_stepper_vs_python']:.1f}x")

@@ -32,6 +32,14 @@ and pretending it did would be worse than not checking.  A floor whose
 key is missing from every current artefact fails: a silently dropped
 benchmark must not disable its gate.
 
+**Hard ceilings** (``--ceiling KEY:MAX[:MINCPUS]``) are the mirror
+image for absolute budgets: any numeric key, not only a speedup, must
+stay at or below ``MAX`` — e.g. ``--ceiling
+stepper.n32_r16.stepper_us_per_rhs:7`` caps the compiled stepper's µs
+per RHS evaluation.  Ratio gates alone miss a fixed per-call cost that
+both sides of the ratio pay.  The ``MINCPUS`` skip and the missing-key
+failure work as for floors.
+
 On failure the report names, per offending key, the committed baseline
 file and the exact command that refreshes it — so a PR that
 *legitimately* shifts a ratio (a faster kernel changes the denominator,
@@ -51,18 +59,25 @@ from typing import Iterator
 SPEEDUP_PREFIX = "speedup_"
 
 
-def iter_speedups(obj, path: str = "") -> Iterator[tuple[str, float]]:
-    """Yield ``(dotted.path, value)`` for every speedup field in ``obj``."""
+def iter_numbers(obj, path: str = "") -> Iterator[tuple[str, float]]:
+    """Yield ``(dotted.path, value)`` for every numeric field in ``obj``."""
     if isinstance(obj, dict):
         for key, value in sorted(obj.items()):
             sub = f"{path}.{key}" if path else str(key)
-            if key.startswith(SPEEDUP_PREFIX) and isinstance(value, (int, float)):
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
                 yield sub, float(value)
             else:
-                yield from iter_speedups(value, sub)
+                yield from iter_numbers(value, sub)
     elif isinstance(obj, list):
         for i, value in enumerate(obj):
-            yield from iter_speedups(value, f"{path}[{i}]")
+            yield from iter_numbers(value, f"{path}[{i}]")
+
+
+def iter_speedups(obj) -> Iterator[tuple[str, float]]:
+    """Yield ``(dotted.path, value)`` for every speedup field in ``obj``."""
+    for key, value in iter_numbers(obj):
+        if key.rsplit(".", 1)[-1].startswith(SPEEDUP_PREFIX):
+            yield key, value
 
 
 def refresh_command(baseline: dict, baseline_path: str) -> str:
@@ -79,57 +94,71 @@ def refresh_command(baseline: dict, baseline_path: str) -> str:
     )
 
 
-def parse_floor(arg: str) -> tuple[str, float, int | None]:
-    """Parse a ``KEY:MIN[:MINCPUS]`` hard-floor argument."""
+def parse_bound(arg: str, option: str) -> tuple[str, float, int | None]:
+    """Parse a ``KEY:LIMIT[:MINCPUS]`` hard-bound argument of ``option``."""
+    usage = f"bad {option} {arg!r}; expected KEY:LIMIT[:MINCPUS]"
     parts = arg.split(":")
     if len(parts) not in (2, 3):
-        raise ValueError(f"bad --floor {arg!r}; expected KEY:MIN[:MINCPUS]")
-    key, min_s = parts[0], parts[1]
+        raise ValueError(usage)
     try:
-        minimum = float(min_s)
+        limit = float(parts[1])
         min_cpus = int(parts[2]) if len(parts) == 3 else None
     except ValueError:
-        raise ValueError(f"bad --floor {arg!r}; expected KEY:MIN[:MINCPUS]") from None
-    return key, minimum, min_cpus
+        raise ValueError(usage) from None
+    return parts[0], limit, min_cpus
 
 
-def check_floors(floors, currents) -> list[str]:
-    """Apply hard floors to the current artefacts; return failures.
+def parse_floor(arg: str) -> tuple[str, float, int | None]:
+    """Parse a ``KEY:MIN[:MINCPUS]`` hard-floor argument."""
+    return parse_bound(arg, "--floor")
 
-    ``currents`` is a list of ``(label, artefact_dict)``.  Floors with a
-    ``MINCPUS`` bound are skipped (loudly) for artefacts measured on
-    hosts with fewer cores.
+
+def parse_ceiling(arg: str) -> tuple[str, float, int | None]:
+    """Parse a ``KEY:MAX[:MINCPUS]`` hard-ceiling argument."""
+    return parse_bound(arg, "--ceiling")
+
+
+def check_bounds(bounds, currents, ceiling: bool = False) -> list[str]:
+    """Apply hard floors (or ceilings) to the current artefacts.
+
+    ``currents`` is a list of ``(label, artefact_dict)``; returns the
+    failures.  Bounds with a ``MINCPUS`` limit are skipped (loudly) for
+    artefacts measured on hosts with fewer cores.
     """
+    if ceiling:
+        name, op, limit_name, side = "ceiling", "<=", "maximum", "above"
+    else:
+        name, op, limit_name, side = "floor", ">=", "minimum", "below"
     failures = []
-    for key, minimum, min_cpus in floors:
+    for key, limit, min_cpus in bounds:
         found = False
         for label, current in currents:
-            values = dict(iter_speedups(current))
+            values = dict(iter_numbers(current))
             if key not in values:
                 continue
             found = True
             cpus = current.get("platform", {}).get("cpu_count") or os.cpu_count() or 1
             if min_cpus is not None and cpus < min_cpus:
                 print(
-                    f"{label}: hard floor {key} >= {minimum:.2f}x SKIPPED "
+                    f"{label}: hard {name} {key} {op} {limit:.2f} SKIPPED "
                     f"(measured on {cpus} cpu(s); needs >= {min_cpus})"
                 )
                 continue
             value = values[key]
-            status = "ok" if value >= minimum else "BELOW FLOOR"
+            ok = value <= limit if ceiling else value >= limit
+            status = "ok" if ok else f"{side} {name}".upper()
             print(
-                f"{label}: hard floor {key}: {value:.2f}x vs minimum "
-                f"{minimum:.2f}x -> {status}"
+                f"{label}: hard {name} {key}: {value:.2f} vs {limit_name} "
+                f"{limit:.2f} -> {status}"
             )
-            if value < minimum:
+            if not ok:
                 failures.append(
-                    f"{label}: {key} = {value:.2f}x is below the hard "
-                    f"floor {minimum:.2f}x"
+                    f"{label}: {key} = {value:.2f} is {side} the hard "
+                    f"{name} {limit:.2f}"
                 )
         if not found:
             failures.append(
-                f"hard floor {key}: key missing from every current "
-                "artefact"
+                f"hard {name} {key}: key missing from every current artefact"
             )
     return failures
 
@@ -190,11 +219,21 @@ def main(argv: list[str] | None = None) -> int:
         "artefacts, skipped loudly when the artefact was measured on "
         "fewer than MINCPUS cores (repeatable)",
     )
+    parser.add_argument(
+        "--ceiling",
+        action="append",
+        default=[],
+        metavar="KEY:MAX[:MINCPUS]",
+        help="hard absolute ceiling for any numeric key (an absolute "
+        "budget such as µs per RHS evaluation) in the current artefacts, "
+        "skipped loudly like --floor (repeatable)",
+    )
     args = parser.parse_args(argv)
     if not (0.0 < args.tolerance <= 1.0):
         parser.error("tolerance must be in (0, 1]")
     try:
         floors = [parse_floor(f) for f in args.floor]
+        ceilings = [parse_ceiling(c) for c in args.ceiling]
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -223,7 +262,8 @@ def main(argv: list[str] | None = None) -> int:
             )
         failures.extend(pair_failures)
 
-    failures.extend(check_floors(floors, currents))
+    failures.extend(check_bounds(floors, currents))
+    failures.extend(check_bounds(ceilings, currents, ceiling=True))
 
     if failures:
         print(f"\n{len(failures)} perf regression(s):", file=sys.stderr)

@@ -34,10 +34,14 @@ wall-clock knob, never a numerics knob.  When OpenMP is unavailable the
 kernels quietly run serial (``openmp_available()`` reports which).
 
 Topology specialisations (detected from the edge list, never from
-builder metadata): distance rings (:func:`ring_offsets`) replace the
-gather/scatter with contiguous shifted passes, and 2-D tori
-(:func:`torus_halo`) decompose into column ring passes plus per-row halo
-passes — both unit-stride, both row-partitionable.
+builder metadata): distance rings (:func:`ring_offsets`) and 2-D tori
+(:func:`torus_halo`, whole-lattice offsets plus within-row offsets)
+replace the gather/scatter with unit-stride shifted gathers.  Both run
+in tiles of contiguous elements: each tile gathers every offset's
+differences into one scratch block, evaluates them with one
+``potential_block`` call, and accumulates offset by offset — so a
+paper-scale ring (N = 24-32) pays one 64-padded call per member, not
+one per shifted segment.  Both are row-partitionable.
 
 Fixed-step stepper
 ------------------
@@ -107,14 +111,19 @@ int64_t pom_openmp_available(void) {
  * Determinism contract: with -ffast-math the *vectorised* libmvec
  * tanh/sin differ from the scalar libm ones by ulps, so an element's
  * value would depend on whether it lands in a SIMD body or a scalar
- * epilogue — i.e. on the loop trip count, which thread chunking
- * changes.  Two measures make the evaluation a pure function of the
- * element value: (1) the block is padded up to a PAD_BLOCK multiple
- * (padding lanes read/write scratch only), so no scalar epilogue ever
- * executes for a real element; (2) the function is noinline, so every
- * call site — serial or parallel, single or batched — runs the same
- * machine code.  This is what makes threads=K bit-identical to
- * threads=1. */
+ * epilogue — i.e. on the loop trip count, which thread chunking and
+ * tiling change.  Three measures make the evaluation a pure function
+ * of the element value: (1) each call's block (an edge block, or one
+ * ring/torus tile holding every offset's differences) is padded once
+ * up to a PAD_BLOCK multiple (padding lanes read/write scratch only),
+ * so no scalar epilogue ever executes for a real element; (2) the
+ * function is noinline, so every call site — serial or parallel,
+ * single or batched — runs the same machine code; (3) the scratch is
+ * 64-byte aligned (cc._aligned_empty), so alignment peeling is the
+ * same on every call.  This is what makes threads=K and any tile
+ * length bit-identical to threads=1.  Callers pass blocks that are
+ * PAD_BLOCK multiples, so the padding stays inside each thread's
+ * scratch. */
 #define PAD_BLOCK 64
 #if defined(__GNUC__)
 __attribute__((noinline))
@@ -232,144 +241,72 @@ void pom_fused_batched(const int32_t *rows, const int32_t *cols,
                    kinds[r], p0[r], p1[r], vp[r], sd, sv, block);
 }
 
-/* Distance-ring specialisation: every row couples to i + d (mod n) for
- * each offset d — the paper's halo-exchange topologies.  The gather
- * becomes two contiguous shifted segments per offset and the scatter a
- * contiguous accumulate, so every pass auto-vectorises with unit
- * stride.  Accumulation runs offset-by-offset (not column order), which
- * changes the row sums only at the ulp level. */
-static void ring_segment(const double *shifted, const double *th, double *o,
-                         int64_t m, int64_t kind, double p0, double p1,
-                         double *sd, double *sv, int64_t block) {
-    int64_t b0, e;
-    /* Every kind goes through the blocked scratch form: the gather and
-     * the accumulate are exact IEEE ops (vectorisation-invariant), and
-     * the transcendental runs inside the one noinline potential_block
-     * instance — the determinism contract that keeps thread chunking
-     * bit-exact.  (A streaming pass with the transcendental inlined
-     * would re-tie element values to the segment trip count.) */
-    for (b0 = 0; b0 < m; b0 += block) {
-        int64_t b1 = b0 + block < m ? b0 + block : m;
-        int64_t len = b1 - b0;
-        for (e = 0; e < len; ++e)
-            sd[e] = shifted[b0 + e] - th[b0 + e];
-        potential_block(kind, p0, p1, sd, sv, len);
-        for (e = 0; e < len; ++e)
-            o[b0 + e] += sv[e];
-    }
-}
-
-/* Ring coupling restricted to elements [i0, i1): per offset, the main
- * segment (partner i + d) and the wrapped segment (partner i + d - n)
- * are clipped against the chunk.  The full-range call (0, n) is the
- * pre-threading serial pass order. */
-static void ring_chunk(const int64_t *offsets, int64_t n_offsets,
+/* Shifted-partner coupling of the flat elements [i0, i1) of one member
+ * (the distance-ring and 2-D torus specialisations).  There are n_all =
+ * n_off + n_dx offsets: lattice offsets offs[k] couple i to i + d (mod
+ * n), and within-row offsets dxs[k] couple x to (x + dx) mod w inside
+ * each width-w row of the flat index i = y*w + x (a lattice offset is
+ * the w = n case).  The chunk runs in tiles of block / n_all elements:
+ * every offset's differences for the tile are gathered into one
+ * scratch block, sd[k*len + (i - t0)], each gather split at the wrap
+ * point into unit-stride runs; one potential_block call evaluates them
+ * all; the values are accumulated offset by offset.  So every row
+ * receives its contributions in offset order whatever the tiling or
+ * the thread chunking, and a small ring pays one padded call per tile
+ * instead of one per shifted segment.  The caller guarantees n_all <=
+ * block (cc.ring_offsets / cc.torus_halo), so a tile is never empty. */
+static void halo_chunk(const int64_t *offs, int64_t n_off,
+                       const int64_t *dxs, int64_t n_dx, int64_t w,
                        const double *theta, double *out, int64_t n,
                        int64_t i0, int64_t i1, int64_t kind, double p0,
                        double p1, double vp, double *sd, double *sv,
                        int64_t block) {
-    int64_t i, k;
+    int64_t n_all = n_off + n_dx;
+    int64_t tile = block / n_all;
+    int64_t i, k, t0;
     for (i = i0; i < i1; ++i)
         out[i] = 0.0;
-    for (k = 0; k < n_offsets; ++k) {
-        int64_t d = offsets[k];      /* normalised to [1, n-1] */
-        int64_t a1 = (n - d) < i1 ? (n - d) : i1;
-        int64_t b0 = (n - d) > i0 ? (n - d) : i0;
-        if (a1 > i0)
-            ring_segment(theta + d + i0, theta + i0, out + i0, a1 - i0,
-                         kind, p0, p1, sd, sv, block);
-        if (i1 > b0)
-            ring_segment(theta + (d - n) + b0, theta + b0, out + b0,
-                         i1 - b0, kind, p0, p1, sd, sv, block);
-    }
-    for (i = i0; i < i1; ++i)
-        out[i] *= vp;
-}
-
-void pom_fused_ring_batched(const int64_t *offsets, int64_t n_offsets,
-                            const double *theta, double *out,
-                            int64_t r_count, int64_t n, const int64_t *kinds,
-                            const double *p0, const double *p1,
-                            const double *vp, double *sd, double *sv,
-                            int64_t block, int64_t threads) {
-    int64_t r;
-#ifdef _OPENMP
-    if (threads > 1) {
-        int64_t splits = (threads + r_count - 1) / r_count;
-        int64_t total = r_count * splits;
-        int64_t w;
-#pragma omp parallel for schedule(dynamic, 1) num_threads((int)threads)
-        for (w = 0; w < total; ++w) {
-            int64_t tid = (int64_t)omp_get_thread_num();
-            int64_t rr = w / splits;
-            int64_t c = w % splits;
-            ring_chunk(offsets, n_offsets, theta + rr * n, out + rr * n, n,
-                       n * c / splits, n * (c + 1) / splits, kinds[rr],
-                       p0[rr], p1[rr], vp[rr], sd + tid * block,
-                       sv + tid * block, block);
+    for (t0 = i0; t0 < i1; t0 += tile) {
+        int64_t t1 = t0 + tile < i1 ? t0 + tile : i1;
+        int64_t len = t1 - t0;
+        for (k = 0; k < n_all; ++k) {
+            int64_t width = k < n_off ? n : w;
+            int64_t dx = k < n_off ? offs[k] : dxs[k - n_off];
+            double *s = sd + k * len;
+            i = t0;
+            while (i < t1) {
+                int64_t row_end = i - i % width + width;
+                int64_t e1 = row_end < t1 ? row_end : t1;
+                int64_t a1 = row_end - dx < e1 ? row_end - dx : e1;
+                for (; i < a1; ++i)
+                    s[i - t0] = theta[i + dx] - theta[i];
+                for (; i < e1; ++i)
+                    s[i - t0] = theta[i + dx - width] - theta[i];
+            }
         }
-        return;
-    }
-#endif
-    (void)threads;
-    for (r = 0; r < r_count; ++r)
-        ring_chunk(offsets, n_offsets, theta + r * n, out + r * n, n, 0, n,
-                   kinds[r], p0[r], p1[r], vp[r], sd, sv, block);
-}
-
-/* 2-D torus halo specialisation.  The flat index is i = y*w + x with
- * row width w.  Column-direction (and any other whole-lattice) offsets
- * have one partner i + d (mod n) per element — ring passes over the
- * flat state.  Row-direction offsets wrap inside each width-w row:
- * partner y*w + (x + dx) % w — two contiguous segments per row.  Both
- * families are unit-stride; chunking is by torus row, so the parallel
- * decomposition stays row-aligned. */
-static void torus_chunk(const int64_t *col_offs, int64_t n_col,
-                        const int64_t *row_dxs, int64_t n_dx, int64_t w,
-                        const double *theta, double *out, int64_t n,
-                        int64_t y0, int64_t y1, int64_t kind, double p0,
-                        double p1, double vp, double *sd, double *sv,
-                        int64_t block) {
-    int64_t i0 = y0 * w, i1 = y1 * w;
-    int64_t i, k, y;
-    for (i = i0; i < i1; ++i)
-        out[i] = 0.0;
-    for (k = 0; k < n_col; ++k) {
-        int64_t d = col_offs[k];     /* whole-lattice offset in [1, n-1] */
-        int64_t a1 = (n - d) < i1 ? (n - d) : i1;
-        int64_t b0 = (n - d) > i0 ? (n - d) : i0;
-        if (a1 > i0)
-            ring_segment(theta + d + i0, theta + i0, out + i0, a1 - i0,
-                         kind, p0, p1, sd, sv, block);
-        if (i1 > b0)
-            ring_segment(theta + (d - n) + b0, theta + b0, out + b0,
-                         i1 - b0, kind, p0, p1, sd, sv, block);
-    }
-    for (k = 0; k < n_dx; ++k) {
-        int64_t dx = row_dxs[k];     /* within-row offset in [1, w-1] */
-        for (y = y0; y < y1; ++y) {
-            const double *th = theta + y * w;
-            double *o = out + y * w;
-            ring_segment(th + dx, th, o, w - dx, kind, p0, p1,
-                         sd, sv, block);
-            ring_segment(th, th + (w - dx), o + (w - dx), dx, kind, p0, p1,
-                         sd, sv, block);
+        potential_block(kind, p0, p1, sd, sv, n_all * len);
+        for (k = 0; k < n_all; ++k) {
+            const double *v = sv + k * len;
+            for (i = t0; i < t1; ++i)
+                out[i] += v[i - t0];
         }
     }
     for (i = i0; i < i1; ++i)
         out[i] *= vp;
 }
 
-void pom_fused_torus_batched(const int64_t *col_offs, int64_t n_col,
-                             const int64_t *row_dxs, int64_t n_dx,
-                             int64_t w, const double *theta, double *out,
-                             int64_t r_count, int64_t n,
-                             const int64_t *kinds, const double *p0,
-                             const double *p1, const double *vp,
-                             double *sd, double *sv, int64_t block,
-                             int64_t threads) {
+/* Stacked halo coupling.  The parallel path flattens (member, chunk)
+ * work items; chunks are whole multiples of `grain` elements (1 for a
+ * ring, the row width for a torus). */
+static void halo_batched(const int64_t *offs, int64_t n_off,
+                         const int64_t *dxs, int64_t n_dx, int64_t w,
+                         int64_t grain, const double *theta, double *out,
+                         int64_t r_count, int64_t n, const int64_t *kinds,
+                         const double *p0, const double *p1,
+                         const double *vp, double *sd, double *sv,
+                         int64_t block, int64_t threads) {
     int64_t r;
-    int64_t h = n / w;
+    int64_t units = n / grain;
 #ifdef _OPENMP
     if (threads > 1) {
         int64_t splits = (threads + r_count - 1) / r_count;
@@ -380,19 +317,49 @@ void pom_fused_torus_batched(const int64_t *col_offs, int64_t n_col,
             int64_t tid = (int64_t)omp_get_thread_num();
             int64_t rr = wi / splits;
             int64_t c = wi % splits;
-            torus_chunk(col_offs, n_col, row_dxs, n_dx, w, theta + rr * n,
-                        out + rr * n, n, h * c / splits,
-                        h * (c + 1) / splits, kinds[rr], p0[rr], p1[rr],
-                        vp[rr], sd + tid * block, sv + tid * block, block);
+            halo_chunk(offs, n_off, dxs, n_dx, w, theta + rr * n,
+                       out + rr * n, n, grain * (units * c / splits),
+                       grain * (units * (c + 1) / splits), kinds[rr],
+                       p0[rr], p1[rr], vp[rr], sd + tid * block,
+                       sv + tid * block, block);
         }
         return;
     }
 #endif
     (void)threads;
     for (r = 0; r < r_count; ++r)
-        torus_chunk(col_offs, n_col, row_dxs, n_dx, w, theta + r * n,
-                    out + r * n, n, 0, h, kinds[r], p0[r], p1[r], vp[r],
-                    sd, sv, block);
+        halo_chunk(offs, n_off, dxs, n_dx, w, theta + r * n, out + r * n, n,
+                   0, n, kinds[r], p0[r], p1[r], vp[r], sd, sv, block);
+}
+
+/* Distance ring: every row couples to i + d (mod n) for each offset d
+ * in [1, n-1] — the paper's halo-exchange topologies.  Accumulation
+ * runs offset by offset (not column order), which changes the row sums
+ * only at the ulp level. */
+void pom_fused_ring_batched(const int64_t *offsets, int64_t n_offsets,
+                            const double *theta, double *out,
+                            int64_t r_count, int64_t n, const int64_t *kinds,
+                            const double *p0, const double *p1,
+                            const double *vp, double *sd, double *sv,
+                            int64_t block, int64_t threads) {
+    halo_batched(offsets, n_offsets, 0, 0, n, 1, theta, out, r_count, n,
+                 kinds, p0, p1, vp, sd, sv, block, threads);
+}
+
+/* 2-D torus halo: column-direction (and any other whole-lattice)
+ * offsets col_offs in [1, n-1], row-direction offsets row_dxs in
+ * [1, w-1] wrapping inside each width-w row.  Chunks are whole torus
+ * rows. */
+void pom_fused_torus_batched(const int64_t *col_offs, int64_t n_col,
+                             const int64_t *row_dxs, int64_t n_dx,
+                             int64_t w, const double *theta, double *out,
+                             int64_t r_count, int64_t n,
+                             const int64_t *kinds, const double *p0,
+                             const double *p1, const double *vp,
+                             double *sd, double *sv, int64_t block,
+                             int64_t threads) {
+    halo_batched(col_offs, n_col, row_dxs, n_dx, w, w, theta, out, r_count,
+                 n, kinds, p0, p1, vp, sd, sv, block, threads);
 }
 """
 
@@ -804,14 +771,18 @@ def clamp_threads(threads: int) -> int:
     return t if openmp_available() else 1
 
 
-def ring_offsets(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray | None:
+def ring_offsets(
+    rows: np.ndarray, cols: np.ndarray, n: int, block: int = BLOCK_EDGES
+) -> np.ndarray | None:
     """Offset set of a distance-ring topology, or ``None``.
 
     A topology is a distance ring iff every row couples to ``i + d (mod
     n)`` for one shared offset set — then the fused C kernel can replace
     its gathers and scatters with contiguous shifted passes.  Verified
     from the edge list itself (O(E)), not from builder metadata, so any
-    equivalent construction qualifies.
+    equivalent construction qualifies.  A ring with more offsets than
+    the kernel's scratch ``block`` holds (its tiles would be empty) is
+    left to the edge-list kernel.
     """
     if rows.size == 0:
         return None
@@ -819,11 +790,13 @@ def ring_offsets(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray | Non
     uniq, counts = np.unique(offs, return_counts=True)
     if uniq.size * n != rows.size or not np.all(counts == n):
         return None
+    if uniq.size > block:
+        return None
     return np.ascontiguousarray(uniq, dtype=np.int64)
 
 
 def torus_halo(
-    rows: np.ndarray, cols: np.ndarray, n: int
+    rows: np.ndarray, cols: np.ndarray, n: int, block: int = BLOCK_EDGES
 ) -> tuple[int, np.ndarray, np.ndarray] | None:
     """Halo decomposition of a 2-D torus edge list, or ``None``.
 
@@ -843,7 +816,8 @@ def torus_halo(
     covering all ``n`` elements exactly once.  Returns ``(w,
     col_offsets, row_dxs)`` for the compiled torus kernels, or ``None``
     when the edge list is not of this shape (including pure rings,
-    which the cheaper ring path already covers).
+    which the cheaper ring path already covers) or has more offsets in
+    all than the kernel's scratch ``block`` holds.
     """
     if rows.size == 0:
         return None
@@ -863,6 +837,8 @@ def torus_halo(
         return None  # partial-offset edges leave their row: not a torus
     dxs, dcounts = np.unique((pc - pr) % w, return_counts=True)
     if dxs.size == 0 or dxs[0] == 0 or not np.all(dcounts == n):
+        return None
+    if full.size + dxs.size > block:
         return None
     return (
         w,

@@ -194,6 +194,78 @@ class TestHardFloors:
                 ["--pair", base, base, "--floor", "no-minimum"])
 
 
+BUDGETED = {
+    "benchmark": "backends",
+    "quick": True,
+    "platform": {"cpu_count": 2},
+    "stepper": {"n32_r16": {"stepper_us_per_rhs": 4.5,
+                            "speedup_stepper_vs_python": 6.0}},
+}
+BUDGET_KEY = "stepper.n32_r16.stepper_us_per_rhs"
+
+
+class TestHardCeilings:
+    def _run(self, tmp_path, current, *ceilings):
+        base = _write(tmp_path, "b.json", current)
+        cur = _write(tmp_path, "c.json", current)
+        args = ["--pair", base, cur]
+        for ceiling in ceilings:
+            args += ["--ceiling", ceiling]
+        return check_regression.main(args)
+
+    def test_parse_ceiling(self):
+        assert check_regression.parse_ceiling("a.b:12") == ("a.b", 12.0, None)
+        assert check_regression.parse_ceiling("a.b:12:2") == ("a.b", 12.0, 2)
+        for bad in ("a.b", "a.b:x", "a.b:1:y", "a:1:2:3"):
+            with pytest.raises(ValueError, match="--ceiling"):
+                check_regression.parse_ceiling(bad)
+
+    def test_ceiling_met_passes(self, tmp_path, capsys):
+        assert self._run(tmp_path, BUDGETED, f"{BUDGET_KEY}:10") == 0
+        assert f"hard ceiling {BUDGET_KEY}: 4.50 vs maximum 10.00 -> ok" in \
+            capsys.readouterr().out
+
+    def test_ceiling_equal_to_value_passes(self, tmp_path):
+        assert self._run(tmp_path, BUDGETED, f"{BUDGET_KEY}:4.5") == 0
+
+    def test_ceiling_violation_fails(self, tmp_path, capsys):
+        # the speedup gate passes (current == baseline); only the
+        # absolute budget trips.
+        assert self._run(tmp_path, BUDGETED, f"{BUDGET_KEY}:4.0") == 1
+        out, err = capsys.readouterr()
+        assert "ABOVE CEILING" in out
+        assert "above the hard ceiling 4.00" in err
+
+    def test_ceiling_skipped_below_min_cpus(self, tmp_path, capsys):
+        assert self._run(tmp_path, BUDGETED, f"{BUDGET_KEY}:4.0:4") == 0
+        assert "SKIPPED" in capsys.readouterr().out
+
+    def test_ceiling_with_min_cpus_met_applies(self, tmp_path):
+        assert self._run(tmp_path, BUDGETED, f"{BUDGET_KEY}:4.0:2") == 1
+
+    def test_missing_ceiling_key_fails(self, tmp_path, capsys):
+        assert self._run(tmp_path, BUDGETED, "stepper.n64_r16.x:1.0") == 1
+        assert "hard ceiling stepper.n64_r16.x: key missing" in \
+            capsys.readouterr().err
+
+    def test_ceilings_and_floors_combine(self, tmp_path):
+        base = _write(tmp_path, "b.json", BUDGETED)
+        assert check_regression.main(
+            ["--pair", base, base,
+             "--floor", "stepper.n32_r16.speedup_stepper_vs_python:2.0",
+             "--ceiling", f"{BUDGET_KEY}:10"]) == 0
+        assert check_regression.main(
+            ["--pair", base, base,
+             "--floor", "stepper.n32_r16.speedup_stepper_vs_python:8.0",
+             "--ceiling", f"{BUDGET_KEY}:10"]) == 1
+
+    def test_bad_ceiling_arg_rejected(self, tmp_path):
+        base = _write(tmp_path, "b.json", BUDGETED)
+        with pytest.raises(SystemExit):
+            check_regression.main(
+                ["--pair", base, base, "--ceiling", "no-maximum"])
+
+
 class TestFailureDiagnostics:
     def test_failure_names_baseline_and_refresh_command(self, tmp_path,
                                                         capsys):

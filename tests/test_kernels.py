@@ -308,6 +308,16 @@ class TestRingOffsets:
             rows, cols = topo.edge_list()
             assert cc_kernels.ring_offsets(rows, cols, topo.n) is None
 
+    def test_more_offsets_than_block_is_left_to_edge_kernel(self):
+        # Four offsets need a tile of at least one element, i.e. a block
+        # of at least four differences; with less the ring is served by
+        # the edge-list kernel (the torus detection declines a pure ring).
+        topo = ring(24, (1, -1, 2, -2))
+        rows, cols = topo.edge_list()
+        assert cc_kernels.ring_offsets(rows, cols, topo.n, block=4).size == 4
+        assert cc_kernels.ring_offsets(rows, cols, topo.n, block=3) is None
+        assert cc_kernels.torus_halo(rows, cols, topo.n, block=3) is None
+
 
 # ----------------------------------------------------------------------
 # edge-backed topologies at (moderately) large N

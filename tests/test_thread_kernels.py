@@ -30,6 +30,7 @@ from repro.core import (
     torus2d,
 )
 from repro.kernels import cc as cc_kernels
+from repro.kernels.coeffs import family_coefficients
 
 needs_cc = pytest.mark.skipif(not kernels.cc_available(),
                               reason="no working C compiler")
@@ -131,6 +132,14 @@ class TestTorusHalo:
         r, c = topo.edge_list()
         assert cc_kernels.torus_halo(r, c, topo.n) is None
 
+    def test_more_offsets_than_block_is_left_to_edge_kernel(self):
+        # torus2d(5, 7) has two lattice offsets and two row dxs: a block
+        # of three could not hold one element's differences.
+        topo = torus2d(5, 7)
+        r, c = topo.edge_list()
+        assert cc_kernels.torus_halo(r, c, topo.n, block=4) is not None
+        assert cc_kernels.torus_halo(r, c, topo.n, block=3) is None
+
 
 # ----------------------------------------------------------------------
 # bit-equality: threads=K vs serial
@@ -202,6 +211,88 @@ class TestThreadInvariance:
                      kernel="cc")
         assert be.threads == 3
         assert be.describe()["threads"] == 3
+
+
+# ----------------------------------------------------------------------
+# tile invariance: the ring/torus tile length is a pure wall-clock knob
+# ----------------------------------------------------------------------
+HALO_TOPOLOGIES = [
+    *(pytest.param(lambda n=n, d=d: ring(n, d), id=f"ring{n}-{len(d)}dist")
+      for n in (5, 24, 32, 100) for d in ((1, -1), (1, -1, 2, -2, 7))),
+    *(pytest.param(lambda a=a, b=b: torus2d(a, b), id=f"torus{a}x{b}")
+      for a, b in ((4, 4), (5, 7), (16, 16), (3, 64))),
+]
+
+
+def _halo_direct(topo, thetas, coeffs, block, threads):
+    """``pom_fused_{ring,torus}_batched`` with an explicit block and team.
+
+    The scratch holds ``threads`` blocks, as the Python wrappers
+    allocate it for ``BLOCK_EDGES``.
+    """
+    rows, cols = topo.edge_list()
+    offs = cc_kernels.ring_offsets(rows, cols, topo.n)
+    lib = cc_kernels.load_library()
+    out = np.full_like(thetas, np.nan)
+    sd = cc_kernels._aligned_empty(threads * block)
+    sv = cc_kernels._aligned_empty(threads * block)
+    r, n = thetas.shape
+    tail = (thetas.ctypes.data, out.ctypes.data, r, n,
+            *(a.ctypes.data for a in coeffs), sd.ctypes.data,
+            sv.ctypes.data, block, threads)
+    if offs is not None:
+        lib.pom_fused_ring_batched(offs.ctypes.data, offs.size, *tail)
+    else:
+        w, col_offs, row_dxs = cc_kernels.torus_halo(rows, cols, topo.n)
+        lib.pom_fused_torus_batched(col_offs.ctypes.data, col_offs.size,
+                                    row_dxs.ctypes.data, row_dxs.size, w,
+                                    *tail)
+    return out
+
+
+def _halo_default(topo, thetas, coeffs):
+    """The public wrapper: ``BLOCK_EDGES``, serial."""
+    rows, cols = topo.edge_list()
+    offs = cc_kernels.ring_offsets(rows, cols, topo.n)
+    out = np.empty_like(thetas)
+    if offs is not None:
+        return cc_kernels.ring_batched(offs, thetas, out, *coeffs)
+    halo = cc_kernels.torus_halo(rows, cols, topo.n)
+    return cc_kernels.torus_batched(halo, thetas, out, *coeffs)
+
+
+@needs_cc
+class TestTileInvariance:
+    BLOCKS = (64, 192, cc_kernels.BLOCK_EDGES)
+
+    def _check(self, topo, pots, seed):
+        members = [_realize(topo, pot, seed=i) for i, pot in enumerate(pots)]
+        kinds, p0, p1 = family_coefficients(pots)
+        vp = np.array([m.model.v_p / topo.n for m in members])
+        coeffs = (kinds, p0, p1, vp)
+        thetas = np.random.default_rng(seed).uniform(
+            -2 * np.pi, 2 * np.pi, (len(pots), topo.n))
+        ref = _halo_default(topo, thetas, coeffs)
+        for block in self.BLOCKS:
+            for threads in (1, 2):
+                np.testing.assert_array_equal(
+                    _halo_direct(topo, thetas, coeffs, block, threads), ref,
+                    err_msg=f"block={block} threads={threads}")
+        numpy = make_batched_backend(members, "sparse", kernel="numpy")
+        np.testing.assert_allclose(ref, numpy.coupling(0.0, thetas),
+                                   rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("topo_f", HALO_TOPOLOGIES)
+    @pytest.mark.parametrize("pot_f", POTENTIALS)
+    def test_single_member(self, topo_f, pot_f):
+        # R=1: threads=2 splits the member's rows between two chunks.
+        self._check(topo_f(), [pot_f()], seed=23)
+
+    @pytest.mark.parametrize("topo_f", HALO_TOPOLOGIES)
+    def test_mixed_kinds_stack(self, topo_f):
+        pots = [TanhPotential(1.3), BottleneckPotential(0.8),
+                KuramotoPotential(), LinearPotential(0.6)]
+        self._check(topo_f(), pots, seed=29)
 
 
 # ----------------------------------------------------------------------
