@@ -29,6 +29,11 @@ Measures the three claims of the backend layer:
    evaluation under each available coupling kernel (``numpy`` vs.
    ``tiled`` vs. the fused compiled ``cc``), reported as speedups over
    the ``numpy`` kernel.  A single state is an R=1 stack.
+6. **Fold** — µs per order-parameter fold of one ``(K, R, N)`` block,
+   the compiled ``cc.order_parameter`` vs. NumPy's
+   ``abs(mean(exp(1j * y)))``, at ``large_n``'s (1, 2, 65536) and a
+   paper-scale (64, 16, 32) chunk.  CI floors both speedups at 3x and
+   caps the compiled fold at (1, 2, 65536).
 
 Run directly (no pytest needed)::
 
@@ -223,6 +228,37 @@ def bench_stepper(steps: int, repeats: int) -> dict:
     return out
 
 
+def bench_fold(repeats: int) -> dict:
+    """µs per order-parameter fold: compiled ``cc`` vs. the NumPy formula.
+
+    One ``(K, R, N)`` block of states per fold, at the ``large_n`` shape
+    (one state of ring N = 65536, R = 2) and a paper-scale chunk (64
+    states of R = 16, N = 32).  Empty when no compiler is available.
+    """
+    if not kernels.cc_available():
+        return {}
+
+    def numpy_fold(y):
+        return np.abs(np.exp(1j * y).mean(axis=-1))
+
+    out: dict = {"metric": "us per fold of a (K, R, N) block"}
+    for key, shape, calls in (("r2n65536", (1, 2, 65536), 4),
+                              ("r16n32_k64", (64, 16, 32), 16)):
+        ys = np.random.default_rng(0).normal(0.0, 1.0, shape) + 30.0
+        np.testing.assert_allclose(kernels.cc.order_parameter(ys),
+                                   numpy_fold(ys), rtol=0, atol=1e-14)
+        per = {}
+        for name, fn in (("cc", kernels.cc.order_parameter),
+                         ("numpy", numpy_fold)):
+            def many(fn=fn):
+                for _ in range(calls):
+                    fn(ys)
+            per[f"{name}_us"] = _time_best(many, repeats) / calls * 1e6
+        per["speedup_fold_cc_vs_numpy"] = per["numpy_us"] / per["cc_us"]
+        out[key] = per
+    return out
+
+
 def _ladder_kernels() -> list[str]:
     """Kernels to compare: numpy/tiled always, plus what's available."""
     names = ["numpy", "tiled"]
@@ -337,6 +373,7 @@ def main(argv: list[str] | None = None) -> int:
         "ensemble": bench_ensemble(ens_n, 8, ens_t, 3),
         "stepper": bench_stepper(300 if args.quick else 1500,
                                  3 if args.quick else 5),
+        "fold": bench_fold(repeats),
         "kernels_available": _ladder_kernels(),
         "kernel_ladder": bench_kernel_ladder(args.quick, repeats),
     }
@@ -367,6 +404,11 @@ def main(argv: list[str] | None = None) -> int:
                   f"{case['python_us_per_rhs']:.1f} us/rhs, stepper "
                   f"{case['stepper_us_per_rhs']:.1f} us/rhs "
                   f"=> {case['speedup_stepper_vs_python']:.1f}x")
+    for key, case in result["fold"].items():
+        if isinstance(case, dict):
+            print(f"fold {key}: numpy {case['numpy_us']:.0f} us, cc "
+                  f"{case['cc_us']:.0f} us "
+                  f"=> {case['speedup_fold_cc_vs_numpy']:.1f}x")
     for case in result["kernel_ladder"]:
         for mode in ("single", "batched"):
             parts = [f"{k} {case[mode][k] * 1e3:.3f} ms"

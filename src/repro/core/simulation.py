@@ -160,7 +160,8 @@ def _simulate_stack(models: Sequence[PhysicalOscillatorModel],
                          observer=observer, record=record, stepper=stepper)
     if not sol.success:
         raise RuntimeError(f"integration failed: {sol.message}")
-    sol.backend = {**stacked.describe(), "stepper": stepper is not None}
+    sol.backend = {**stacked.describe(), "stepper": stepper is not None,
+                   "fold": getattr(observer, "kernel", None)}
     return _fan_out(sol, models, seeds, n_samples)
 
 

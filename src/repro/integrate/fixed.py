@@ -26,9 +26,12 @@ __all__ = ["CHUNK_BYTES", "fixed_step_solve"]
 
 #: byte budget of one chunk of states on the compiled-stepper path: 64
 #: steps of a paper-scale (16, 32) stack, one step of a (2, 65536) one.
-#: Larger chunks buy no speed and raise peak RSS (the observer fold's
-#: complex temporaries are 4x the chunk): 1 MiB cost the 2-worker
-#: service workload ~3 MB, 4 MiB the N=65536 workload ~2 MB.
+#: Larger chunks buy no speed and raise peak RSS, since the observer
+#: fold's temporaries scale with the chunk (the wavefront's co-moving
+#: copy, the histogram's bin indices; the NumPy order-parameter
+#: fallback's complex ones are 4x the chunk, the compiled fold needs
+#: none).  Measured with the NumPy fold: 1 MiB cost the 2-worker service
+#: workload ~3 MB, 4 MiB the N=65536 workload ~2 MB.
 CHUNK_BYTES = 1 << 18
 
 

@@ -105,7 +105,9 @@ class Solution:
         What ran, set by the simulation driver: the stacked backend's
         ``describe()`` (backend, kernel, threads, ...) plus
         ``"stepper"`` — whether the compiled fixed-step stepper
-        advanced the state.  ``None`` for a bare solver call.
+        advanced the state — and ``"fold"``, the observer's ``kernel``
+        (``"cc"`` or ``"numpy"``; ``None`` without an observer).
+        ``None`` for a bare solver call.
     """
 
     ts: np.ndarray

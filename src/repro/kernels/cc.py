@@ -52,6 +52,22 @@ coupling through the entry points above, and the stage combinations in
 NumPy's exact operation order.  It is compiled without ``-ffast-math``
 and with ``-ffp-contract=off`` (no FMA contraction), so its arithmetic
 is the IEEE arithmetic of the NumPy loop it replaces, bit for bit.
+
+Order-parameter fold
+--------------------
+:func:`order_parameter` computes the Kuramoto ``r`` of every row of a
+``(..., N)`` stack for the streaming observer: ``pom_order_sums`` (the
+exact unit) walks the stack in blocks of :data:`FOLD_BLOCK` phases,
+evaluates each block's cos and sin with one ``pom_trig_block`` call
+(the kernel unit, vectorised against libmvec under
+``potential_block``'s contract: padded, noinline, aligned scratch), and
+sums them in IEEE order into eight lane sums per row, phase ``j`` of a
+row into lane ``j % 8``.  So a row's ``r`` is a pure function of its
+``N`` phases — not of the stack's shape, where the blocks cut the row,
+the buffer's alignment or the calling thread — which is what keeps
+streamed, post-hoc and sharded metrics bit-identical.  It agrees with NumPy's
+``abs(mean(exp(1j * y)))`` to about 1e-16, and a NaN or infinite phase
+gives NaN, as it does there.
 """
 
 from __future__ import annotations
@@ -80,6 +96,7 @@ __all__ = [
     "ring_batched",
     "torus_single",
     "torus_batched",
+    "order_parameter",
     "FixedStepper",
     "STEPPER_METHODS",
 ]
@@ -157,6 +174,24 @@ static void potential_block(int64_t kind, double p0, double p1,
         for (e = 0; e < mp; ++e)
             v[e] = p0 * d[e];
         break;
+    }
+}
+
+/* cos and sin of m phases for the order-parameter fold (pom_order_sums
+ * in the exact unit), under potential_block's determinism contract:
+ * padded once to a PAD_BLOCK multiple, noinline, and called on 64-byte
+ * aligned scratch, so each value is a pure function of its phase. */
+#if defined(__GNUC__)
+__attribute__((noinline))
+#endif
+void pom_trig_block(double *x, double *c, double *s, int64_t m) {
+    int64_t e;
+    int64_t mp = (m + (PAD_BLOCK - 1)) & ~(int64_t)(PAD_BLOCK - 1);
+    for (e = m; e < mp; ++e)
+        x[e] = 0.0;
+    for (e = 0; e < mp; ++e) {
+        c[e] = cos(x[e]);
+        s[e] = sin(x[e]);
     }
 }
 
@@ -366,8 +401,10 @@ void pom_fused_torus_batched(const int64_t *col_offs, int64_t n_col,
 _STEPPER_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
-/* Coupling entry points of the kernel translation unit. */
+/* Entry points of the kernel translation unit. */
+void pom_trig_block(double *, double *, double *, int64_t);
 void pom_fused_batched(const int32_t *, const int32_t *, int64_t,
                        const double *, double *, int64_t, int64_t,
                        const int64_t *, const double *, const double *,
@@ -497,11 +534,94 @@ void pom_step_euler(const pom_stepper *s, double t, double h, int64_t steps,
         y = yn;
     }
 }
+
+#define FOLD_LANES 8
+
+/* Add the cos/sin values of row positions [j0, j0 + m) to the row's
+ * lane sums: position j always goes to lane j % FOLD_LANES, in
+ * increasing j.  The lanes are rotated into local copies (lane
+ * (j0 + l) % FOLD_LANES as a[l]) so that the groups of FOLD_LANES
+ * terms start at e = 0 and the sums live in registers.  Each term also
+ * carries x * 0.0, which is a signed zero (no change to the sum) for a
+ * finite phase and NaN for a NaN or infinite one, so such a row sums to
+ * NaN whatever the SIMD cos/sin return for it. */
+static void lane_sums(const double *restrict x, const double *restrict c,
+                      const double *restrict s, int64_t j0, int64_t m,
+                      double *restrict ac, double *restrict as) {
+    double a[FOLD_LANES], b[FOLD_LANES];
+    int64_t e, l;
+    for (l = 0; l < FOLD_LANES; ++l) {
+        a[l] = ac[(j0 + l) % FOLD_LANES];
+        b[l] = as[(j0 + l) % FOLD_LANES];
+    }
+    for (e = 0; e + FOLD_LANES <= m; e += FOLD_LANES)
+        for (l = 0; l < FOLD_LANES; ++l) {
+            a[l] += c[e + l] + x[e + l] * 0.0;
+            b[l] += s[e + l] + x[e + l] * 0.0;
+        }
+    for (l = 0; e + l < m; ++l) {
+        a[l] += c[e + l] + x[e + l] * 0.0;
+        b[l] += s[e + l] + x[e + l] * 0.0;
+    }
+    for (l = 0; l < FOLD_LANES; ++l) {
+        ac[(j0 + l) % FOLD_LANES] = a[l];
+        as[(j0 + l) % FOLD_LANES] = b[l];
+    }
+}
+
+/* The row's sum: the FOLD_LANES (= 8) lane sums added pairwise. */
+static double lane_total(const double *a) {
+    return ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]));
+}
+
+/* Sums of cos and sin over each of the `rows` contiguous length-n rows
+ * of ys (the Kuramoto order parameter's numerator).  The flat stack is
+ * walked in blocks of `block` (= cc.FOLD_BLOCK) phases: each block
+ * is copied into the 64-byte-aligned scratch sx, evaluated by one
+ * pom_trig_block call (kernel unit), and summed here, in IEEE order,
+ * into FOLD_LANES lane sums per row that are combined pairwise at the
+ * row's end.  A lane receives the same terms in the same order however
+ * the blocks cut the row, so a row's sums are a pure function of its n
+ * phases: not of its position in the stack, where the blocks cut it,
+ * or the buffer's alignment. */
+void pom_order_sums(const double *ys, int64_t rows, int64_t n,
+                    double *out_c, double *out_s, double *sx, double *sc,
+                    double *ss, int64_t block) {
+    int64_t total = rows * n, f0, i, l;
+    int64_t row = 0, row_start = 0;
+    double ac[FOLD_LANES], as[FOLD_LANES];
+    for (l = 0; l < FOLD_LANES; ++l)
+        ac[l] = as[l] = 0.0;
+    for (f0 = 0; f0 < total; f0 += block) {
+        int64_t m = total - f0 < block ? total - f0 : block;
+        memcpy(sx, ys + f0, (size_t)m * sizeof(double));
+        pom_trig_block(sx, sc, ss, m);
+        for (i = f0; i < f0 + m;) {
+            int64_t row_end = row_start + n;
+            int64_t e1 = row_end < f0 + m ? row_end : f0 + m;
+            lane_sums(sx + (i - f0), sc + (i - f0), ss + (i - f0),
+                      i - row_start, e1 - i, ac, as);
+            i = e1;
+            if (i == row_end) {
+                out_c[row] = lane_total(ac);
+                out_s[row] = lane_total(as);
+                for (l = 0; l < FOLD_LANES; ++l)
+                    ac[l] = as[l] = 0.0;
+                row += 1;
+                row_start = row_end;
+            }
+        }
+    }
+}
 """
 
 #: edge-block length (doubles); two scratch blocks per thread stay
 #: L2-resident
 BLOCK_EDGES = 16384
+
+#: phases per block of the order-parameter fold (a PAD_BLOCK multiple;
+#: its three scratch blocks stay L2-resident)
+FOLD_BLOCK = 4096
 
 #: integration schemes the compiled stepper implements
 STEPPER_METHODS = ("rk4", "euler")
@@ -677,6 +797,8 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         fn = getattr(lib, f"pom_step_{method}")
         fn.restype = None
         fn.argtypes = [ptr, f64, f64, i64, ptr, ptr, ptr]
+    lib.pom_order_sums.restype = None
+    lib.pom_order_sums.argtypes = [ptr, i64, i64, ptr, ptr, ptr, ptr, ptr, i64]
     return lib
 
 
@@ -756,6 +878,35 @@ def _scratch_buffers(threads: int = 1) -> "_Scratch":
     if scratch is None or scratch.threads < threads:
         scratch = _tls.scratch = _Scratch(threads)
     return scratch
+
+
+def order_parameter(ys: np.ndarray) -> np.ndarray:
+    """Kuramoto ``r`` of every row of a ``(..., N)`` phase stack.
+
+    ``hypot(sum(cos)/N, sum(sin)/N)`` per row, the sums from
+    ``pom_order_sums`` in blocks of :data:`FOLD_BLOCK` phases: a row's
+    ``r`` is a pure function of its ``N`` phases, whatever the leading
+    shape, where the blocks cut the row, the buffer's alignment or the
+    calling thread.  It agrees with ``abs(mean(exp(1j * y)))`` to about
+    1e-16.  Each Python thread has its own scratch (ctypes releases the
+    GIL during the call).
+    """
+    ys = np.ascontiguousarray(ys, dtype=np.float64)
+    n = ys.shape[-1]
+    if n == 0:
+        return np.full(ys.shape[:-1], np.nan)
+    rows = ys.size // n
+    scratch = getattr(_tls, "fold", None)
+    if scratch is None:
+        scratch = _tls.fold = _aligned_empty(3 * FOLD_BLOCK)
+    base = scratch.ctypes.data
+    sums = np.empty((2, rows))
+    load_library().pom_order_sums(
+        ys.ctypes.data, rows, n, sums.ctypes.data,
+        sums.ctypes.data + 8 * rows, base, base + 8 * FOLD_BLOCK,
+        base + 16 * FOLD_BLOCK, FOLD_BLOCK)
+    sums /= n
+    return np.hypot(sums[0], sums[1]).reshape(ys.shape[:-1])
 
 
 def clamp_threads(threads: int) -> int:

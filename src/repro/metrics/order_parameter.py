@@ -10,11 +10,17 @@ observable for the onset of synchronisation (Strogatz 2000, paper
 ref. [22]) and serves here to classify the asymptotic state of the POM:
 scalable potentials drive ``r -> 1``; bottlenecked potentials settle at
 the ``r`` value of the splayed wavefront state.
+
+``r`` comes from :func:`repro.metrics.streaming.sample_order_parameter`,
+the formula the streamed ``order_parameter`` metric folds, so the
+analysis helpers and the campaign metric cannot drift apart.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .streaming import sample_order_parameter
 
 __all__ = [
     "order_parameter",
@@ -35,8 +41,7 @@ def order_parameter(theta: np.ndarray) -> float:
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1 or theta.shape[0] == 0:
         raise ValueError("theta must be a non-empty 1-D array")
-    z = np.exp(1j * theta).mean()
-    return float(np.abs(z))
+    return float(sample_order_parameter(theta))
 
 
 def mean_phase(theta: np.ndarray) -> float:
@@ -63,8 +68,7 @@ def order_parameter_series(thetas: np.ndarray) -> np.ndarray:
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2:
         raise ValueError("thetas must be 2-D (n_t, n)")
-    z = np.exp(1j * thetas).mean(axis=1)
-    return np.abs(z)
+    return sample_order_parameter(thetas)
 
 
 def splay_order_parameter(n: int, gap: float) -> float:

@@ -512,3 +512,69 @@ class TestBuildCacheKey:
             exact = cc_kernels._exact_flags(flags)
             assert "-ffast-math" not in exact
             assert "-ffp-contract=off" in exact
+
+
+def _numpy_r(y):
+    return np.abs(np.exp(1j * y).mean(axis=-1))
+
+
+@needs_cc
+class TestOrderParameterFold:
+    """``cc.order_parameter``: a row's ``r`` depends on its phases only."""
+
+    SIZES = (1, 24, 32, 63, 64, 65, cc_kernels.FOLD_BLOCK - 1,
+             cc_kernels.FOLD_BLOCK + 1, cc_kernels.BLOCK_EDGES - 1,
+             cc_kernels.BLOCK_EDGES + 1, 65536)
+
+    @staticmethod
+    def _stack(n, k=3, r=2):
+        rng = np.random.default_rng(n)
+        # phases well past 2*pi, as a long solve produces
+        return rng.normal(0.0, 1.0, (k, r, n)) + rng.uniform(0, 50, (k, r, 1))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_rows_are_independent_of_stack_and_alignment(self, n):
+        ys = self._stack(n)
+        got = cc_kernels.order_parameter(ys)
+        assert got.shape == ys.shape[:-1]
+        raw = np.empty(ys.size + 1)
+        shifted = raw[1:].reshape(ys.shape)   # 8 bytes off the allocation
+        shifted[...] = ys
+        assert shifted.ctypes.data % 64 != raw.ctypes.data % 64
+        np.testing.assert_array_equal(cc_kernels.order_parameter(shifted), got)
+        for k in range(ys.shape[0]):
+            for r in range(ys.shape[1]):
+                row = ys[k, r].copy()
+                assert cc_kernels.order_parameter(row) == got[k, r]
+                one = np.empty(n + 1)[1:]
+                one[...] = row
+                assert cc_kernels.order_parameter(one) == got[k, r]
+        np.testing.assert_allclose(got, _numpy_r(ys), rtol=0, atol=1e-14)
+
+    def test_threads_do_not_change_the_bits(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        stacks = [self._stack(n) for n in (32, 4097, 20000)] * 4
+        serial = [cc_kernels.order_parameter(ys) for ys in stacks]
+        with ThreadPoolExecutor(2) as pool:
+            threaded = list(pool.map(cc_kernels.order_parameter, stacks))
+        for a, b in zip(serial, threaded):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    @pytest.mark.parametrize("n", (1, 7, 64, 5000))
+    def test_non_finite_phase_gives_nan(self, bad, n):
+        ys = self._stack(n)
+        clean = cc_kernels.order_parameter(ys)
+        ys[1, 0, n // 2] = bad
+        got = cc_kernels.order_parameter(ys)
+        assert np.isnan(got[1, 0])
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(_numpy_r(ys)[1, 0])
+        mask = np.ones(got.shape, dtype=bool)
+        mask[1, 0] = False
+        np.testing.assert_array_equal(got[mask], clean[mask])
+
+    def test_empty_rows_and_stacks(self):
+        assert cc_kernels.order_parameter(np.zeros((0, 3, 8))).shape == (0, 3)
+        assert np.isnan(cc_kernels.order_parameter(np.zeros((2, 0)))).all()

@@ -320,6 +320,65 @@ class TestObserverUnit:
                                       [None], ["order_parameter"])
 
 
+class TestFoldKernel:
+    """The order-parameter fold: one formula, a fallback, provenance."""
+
+    @staticmethod
+    def _model(n=24):
+        from repro.runs.spec import model_from_spec
+
+        return model_from_spec({
+            "topology": {"kind": "ring", "n": n},
+            "potential": {"kind": "bottleneck", "sigma": 1.0},
+            "t_comp": 0.9, "t_comm": 0.1})
+
+    def test_numpy_fallback_agrees(self, monkeypatch):
+        from repro.kernels import cc
+        from repro.metrics.streaming import fold_kernel, sample_order_parameter
+
+        ys = np.random.default_rng(3).normal(0.0, 2.0, (5, 3, 97)) + 40.0
+        fast = sample_order_parameter(ys)
+        monkeypatch.setattr(cc, "cc_available", lambda: False)
+        assert fold_kernel() == "numpy"
+        slow = sample_order_parameter(ys)
+        np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(
+            slow, np.abs(np.exp(1j * ys).mean(axis=-1)))
+        assert StreamingObserver([self._model()],
+                                 ["order_parameter"]).kernel == "numpy"
+
+    def test_analysis_helpers_use_the_streamed_formula(self):
+        from repro.metrics import order_parameter, order_parameter_series
+        from repro.metrics.streaming import sample_order_parameter
+
+        thetas = np.random.default_rng(4).normal(0.0, 1.0, (6, 33))
+        series = order_parameter_series(thetas)
+        np.testing.assert_array_equal(series, sample_order_parameter(thetas))
+        assert order_parameter(thetas[2]) == series[2]
+
+    def test_solution_reports_the_fold(self, monkeypatch):
+        from repro.core import simulate_grid
+        from repro.kernels import cc
+        from repro.metrics.streaming import fold_kernel
+
+        models = [self._model()] * 2
+
+        def ran(metrics):
+            obs = StreamingObserver(models, metrics) if metrics else None
+            sol = simulate_grid(models, 1.0, method="rk4", observer=obs)
+            report = sol[0].solution.backend
+            assert report["fold"] == (obs.kernel if obs else None)
+            return report["fold"]
+
+        expected = "cc" if cc.cc_available() else "numpy"
+        assert fold_kernel() == expected
+        assert ran(["order_parameter", "phase_spread"]) == expected
+        assert ran(["phase_spread"]) == "numpy"
+        assert ran(None) is None
+        monkeypatch.setattr(cc, "cc_available", lambda: False)
+        assert ran(["order_parameter"]) == "numpy"
+
+
 class TestFingerprint:
     def test_numerics_version_is_source_hash(self):
         assert len(NUMERICS_VERSION) == 64
