@@ -11,10 +11,6 @@ Measures the three claims of the heterogeneous batching layer:
 3. **Batched Euler-Maruyama** — a stochastic seed ensemble integrated as
    one ``(R, N)`` super-state with per-member Wiener streams, including
    the seed-for-seed equivalence check against the sequential path.
-4. **Topology-axis fusion** (PR 10) — a machine-design grid (same model,
-   four same-N candidate interconnects) solved as one fused stacked
-   shard vs. one shard per topology group, including the bit-identity
-   check between the two layouts.
 
 Run directly (no pytest needed)::
 
@@ -22,13 +18,14 @@ Run directly (no pytest needed)::
 
 ``--quick`` shrinks the horizons/grids for CI smoke jobs.  The JSON
 artefact records the numbers so the perf trajectory is tracked from PR
-to PR.
+to PR; it records the host's ``cpu_count`` with the numbers.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import time
 from statistics import median
@@ -132,66 +129,6 @@ def bench_em_ensemble(n: int, r: int, t_end: float, dt: float,
     }
 
 
-def bench_topology_fused(n: int, seeds: int, t_end: float, dt: float,
-                         repeats: int) -> dict:
-    """Machine-design grid: one fused stacked solve vs. per-group shards.
-
-    Four same-N candidate interconnects (ring / torus / hypercube /
-    dragonfly) x ``seeds`` noise realisations under an explicit
-    fixed-step dt, so the planner may fuse the whole grid into one
-    shard.  The fused and per-group layouts must agree bit for bit.
-    """
-    from repro.runs import ScenarioSpec, run_spec
-
-    spec = ScenarioSpec(
-        name="bench-topology-fused",
-        model={
-            "topology": {"kind": "ring", "n": n, "distances": [1, -1]},
-            "potential": {"kind": "bottleneck", "sigma": 1.5},
-            "t_comp": 0.9,
-            "t_comm": 0.1,
-        },
-        t_end=t_end,
-        solver={"method": "rk4", "dt": dt},
-        initial={"kind": "normal", "std": 1e-3, "seed": 7},
-        axes=[
-            ("topology", [
-                {"kind": "ring", "n": n, "distances": [1, -1]},
-                {"kind": "torus2d", "nx": 8, "ny": n // 8},
-                {"kind": "hypercube",
-                 "dim": int(np.log2(n))},
-                {"kind": "dragonfly", "groups": 8, "routers": n // 8},
-            ]),
-            ("seed", list(range(seeds))),
-        ],
-        metrics=["order_parameter", "phase_spread"],
-        trajectories="none",
-    )
-    # Doubles as the warm-up for the timed passes below.
-    fused = run_spec(spec)
-    grouped = run_spec(spec, fuse_topologies=False)
-    identical = fused.npz_bytes() == grouped.npz_bytes()
-
-    # The gated margin is small (~1.1-1.2x: the compiled kernels run
-    # per-group either way; fusion saves the per-shard solver loops),
-    # so take the median of >= 3 passes even in --quick mode.
-    repeats = max(repeats, 3)
-    t_fused = _time(lambda: run_spec(spec), repeats)
-    t_grouped = _time(lambda: run_spec(spec, fuse_topologies=False),
-                      repeats)
-    return {
-        "n": n,
-        "topologies": 4,
-        "seeds": seeds,
-        "t_end": t_end,
-        "dt": dt,
-        "grouped_s": t_grouped,
-        "fused_s": t_fused,
-        "speedup_topo_fused_vs_grouped": t_grouped / t_fused,
-        "fused_bit_identical_to_grouped": bool(identical),
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", default="BENCH_sweeps.json",
@@ -203,11 +140,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.quick:
         sigma_points, bk_points, t_end, repeats = 6, 6, 60.0, 1
         em_r, em_t = 4, 10.0
-        topo_seeds, topo_t = 3, 20.0
     else:
         sigma_points, bk_points, t_end, repeats = 16, 12, 300.0, 3
         em_r, em_t = 16, 30.0
-        topo_seeds, topo_t = 8, 60.0
 
     result = {
         "benchmark": "sweeps",
@@ -216,13 +151,12 @@ def main(argv: list[str] | None = None) -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
+            "cpu_count": os.cpu_count(),
         },
         "sweep_sigma": bench_sweep_sigma(sigma_points, 24, t_end, repeats),
         "sweep_beta_kappa": bench_sweep_beta_kappa(bk_points, 24, t_end,
                                                    repeats),
         "em_ensemble": bench_em_ensemble(64, em_r, em_t, 0.005, repeats),
-        "topology_fused": bench_topology_fused(64, topo_seeds, topo_t,
-                                               0.05, repeats),
     }
 
     with open(args.out, "w") as fh:
@@ -241,14 +175,6 @@ def main(argv: list[str] | None = None) -> int:
           f"batched {em['batched_s']:.2f} s "
           f"=> {em['speedup_batched_vs_sequential']:.1f}x "
           f"(max |diff| vs sequential: {em['max_abs_diff_vs_sequential']:.3g})")
-    tf = result["topology_fused"]
-    print(f"topology fusion N={tf['n']} {tf['topologies']} kinds x "
-          f"{tf['seeds']} seeds t_end={tf['t_end']}: "
-          f"grouped {tf['grouped_s']:.2f} s, fused {tf['fused_s']:.2f} s "
-          f"=> {tf['speedup_topo_fused_vs_grouped']:.1f}x "
-          f"(bit-identical: {tf['fused_bit_identical_to_grouped']})")
-    if not tf["fused_bit_identical_to_grouped"]:
-        raise SystemExit("topology fusion changed result bits")
     print(f"written: {args.out}")
     return 0
 

@@ -8,9 +8,10 @@ or a parameter grid a stack of ``R > 1``.  Two implementations:
 
 * :class:`HeteroBatchedBackend` (``"sparse"``) — the O(E) edge-list
   backend; evaluates the potential only on actual edges and accumulates
-  with a segment sum.  Members may differ in everything but ``N``.  The
-  inner loop is a selectable *kernel* (``kernel=`` knob: ``"auto"`` |
-  ``"numpy"`` | ``"tiled"`` | ``"cc"``, see :mod:`repro.kernels`).
+  with a segment sum.  Members may differ in everything but ``N`` and
+  the topology.  The inner loop is a selectable *kernel* (``kernel=``
+  knob: ``"auto"`` | ``"numpy"`` | ``"tiled"`` | ``"cc"``, see
+  :mod:`repro.kernels`).
 * :class:`DenseBackend` (``"dense"``) — the O(N^2) dense-matrix
   reference (the behaviour of the paper's MATLAB artifact); optimal for
   genuinely dense topologies.  It only replaces the coupling term.
@@ -96,11 +97,11 @@ def make_batched_backend(members: Sequence["RealizedModel"],
                          threads: int | None = None) -> HeteroBatchedBackend:
     """Compile a stack of realisations with the named (or auto) backend.
 
-    ``"auto"`` picks the dense backend only when every member's topology
-    is dense.  ``kernel`` selects the coupling-loop implementation of
-    the edge-list backend (see :mod:`repro.kernels`) and ``threads`` its
-    in-kernel thread count (default: the ``POM_NUM_THREADS`` environment
-    variable, else 1).  An explicit non-auto kernel or an explicit
+    ``"auto"`` picks the dense backend only when the stack's (shared)
+    topology is dense.  ``kernel`` selects the coupling-loop
+    implementation of the edge-list backend (see :mod:`repro.kernels`)
+    and ``threads`` its in-kernel thread count (default: the
+    ``POM_NUM_THREADS`` environment variable, else 1).  An explicit non-auto kernel or an explicit
     thread count is itself a request for the edge-list path, so
     ``"auto"`` then resolves to sparse regardless of density; only an
     explicit ``"dense"`` combined with either knob is an error.
@@ -110,8 +111,8 @@ def make_batched_backend(members: Sequence["RealizedModel"],
     key = normalize_backend_name(name)
     explicit_kernel = normalize_kernel_name(kernel) != "auto"
     if key == "auto":
-        dense = all(auto_backend_name(m.model.topology) == DenseBackend.name
-                    for m in members)
+        dense = (auto_backend_name(members[0].model.topology)
+                 == DenseBackend.name)
         key = (DenseBackend.name
                if dense and not explicit_kernel and threads is None
                else HeteroBatchedBackend.name)

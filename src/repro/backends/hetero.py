@@ -12,16 +12,12 @@ parameter grid is ``R > 1``.  Members may disagree on
   all members share one),
 * the noise realisation (stacked when the refresh grids agree).
 
-Only the oscillator count ``N`` must be shared.  Members may even
-disagree on the **topology** (a machine-design sweep over same-N
-candidate networks): mixed batches run through a padded stacked
-edge-list path — per-member edge lists concatenated with per-member
-offsets, padded to the widest member, pads scattered into a discarded
-overflow bin — whose per-row accumulation order is identical to
-solving each topology group separately, so topology-axis fusion is
-bit-for-bit identical to per-group shards.  Member rows never interact,
-so each row of a stacked evaluation equals the ``R = 1`` evaluation of
-that member bit for bit; this is what lets
+The oscillator count ``N`` and the **topology** (one directed edge
+set) must be shared; a batch that disagrees on either raises.  A
+machine-design sweep over candidate networks is planned as one stack
+per topology value (:func:`repro.runs.compile_plan`).  Member rows
+never interact, so each row of a stacked evaluation equals the
+``R = 1`` evaluation of that member bit for bit; this is what lets
 :func:`repro.core.simulation.simulate_grid` integrate all grid points as
 one super-state and fan exact per-point trajectories back out.
 
@@ -44,21 +40,12 @@ The inner coupling loop is delegated to a selectable *kernel*
 exposes kernel coefficients; ``CustomPotential`` members fall back to
 the NumPy/tiled per-group paths.
 
-For mixed-topology batches the ``"numpy"`` kernel uses the padded
-stacked path and ``"tiled"`` a block-diagonal
-:class:`~repro.kernels.tiled.TiledStackedCoupling`; the compiled kernel
-has no mixed edge-list entry point and falls back to one compiled
-sub-backend per topology group (one-time :class:`RuntimeWarning`) —
-still bit-identical, one compiled call per group instead of one per
-batch.
-
 Delayed (DDE) evaluations patch each member's edge subset per distinct
 delay level with the NumPy kernel, reading the ``(R, N)`` history.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -83,23 +70,6 @@ def frequency_from_period(denom: np.ndarray) -> np.ndarray:
     good = np.isfinite(denom) & (denom > 0.0)
     freq[good] = 2.0 * np.pi / denom[good]
     return freq
-
-
-#: one-time flag for the mixed-topology compiled-kernel fallback warning
-_warned_mixed_compiled = False
-
-
-def _warn_mixed_compiled(kernel: str) -> None:
-    global _warned_mixed_compiled
-    if _warned_mixed_compiled:
-        return
-    _warned_mixed_compiled = True
-    warnings.warn(
-        f"compiled kernel {kernel!r} has no mixed-topology entry point; "
-        "evaluating this topology-axis batch as one compiled sub-backend "
-        "per topology group (bit-identical, one kernel call per group). "
-        'Use kernel="tiled" or kernel="numpy" for a single stacked pass.',
-        RuntimeWarning, stacklevel=3)
 
 
 def same_topology(a, b) -> bool:
@@ -144,10 +114,10 @@ class HeteroBatchedBackend:
     Parameters
     ----------
     members:
-        Frozen realisations sharing the oscillator count; everything
-        else (topology, coupling strength, period, potential, noise,
-        delay schedule) may vary per member.  States are ``(R, N)``
-        arrays with one row per member.
+        Frozen realisations sharing the oscillator count and the
+        topology; everything else (coupling strength, period,
+        potential, noise, delay schedule) may vary per member.  States
+        are ``(R, N)`` arrays with one row per member.
     kernel:
         Coupling-loop kernel (see :mod:`repro.kernels`).
     threads:
@@ -164,36 +134,26 @@ class HeteroBatchedBackend:
         if len(members) == 0:
             raise ValueError("need at least one batch member")
         first = members[0].model
-        mixed = False
         for m in members[1:]:
             mm = m.model
             if mm.n != first.n:
                 raise ValueError("batch members disagree on N")
             if not same_topology(mm.topology, first.topology):
-                mixed = True
+                raise ValueError(
+                    "batch members disagree on topology "
+                    f"({first.topology.name!r} vs {mm.topology.name!r}); "
+                    "run a topology axis through repro.runs.run_spec, "
+                    "which plans one shard per topology")
         self.members = tuple(members)
         self.model = first
         self._n = first.n
         self._r = len(members)
-        self._mixed = mixed
         # Per-member parameter columns, broadcast against (R, N) states.
         self._periods = np.array(
             [m.model.period for m in members], dtype=float)[:, None]
         self._vps = np.array(
             [m.model.v_p / self._n for m in members], dtype=float)[:, None]
-        # Per-member edge lists: identical (shared) arrays for a
-        # homogeneous batch, one list per member for a topology-axis
-        # batch.  The delayed path always iterates these.
-        if mixed:
-            per = [m.model.topology.edge_list() for m in self.members]
-            self._rows = self._cols = None
-        else:
-            per = [first.topology.edge_list()] * self._r
-            self._rows, self._cols = first.topology.edge_list()
-        self._per_rows = [rc[0] for rc in per]
-        self._per_cols = [rc[1] for rc in per]
-        self._edge_sizes = [int(r.size) for r in self._per_rows]
-        self._total_edges = int(sum(self._edge_sizes))
+        self._rows, self._cols = first.topology.edge_list()
         self._zeta_stack = self._stack_zeta()
         self._zeta_t0 = members[0].zeta.t0
         self._zeta_dt = members[0].zeta.dt
@@ -225,7 +185,7 @@ class HeteroBatchedBackend:
                 if hasattr(type(self._pots[0]), "stack") else None
         # Constant across calls: no edges or no coupling in any member
         # means a zero interaction term.
-        self._coupled = self._total_edges > 0 and bool(np.any(self._vps))
+        self._coupled = self._rows.size > 0 and bool(np.any(self._vps))
         self._kernel_request = kernels.normalize_kernel_name(kernel)
         self._threads_request = threads
         self._setup_kernel(kernel, threads)
@@ -239,15 +199,11 @@ class HeteroBatchedBackend:
         self._coeffs = kernels.family_coefficients(self._pots)
         self.kernel = kernels.resolve_kernel(
             kernel, has_coefficients=self._coeffs is not None,
-            n_edges=max(self._edge_sizes))
+            n_edges=self._rows.size)
         self.threads = kernels.resolve_threads(threads)
         self._tiled = None
-        self._stacked = None
-        self._subs = None
         self._rows32 = self._cols32 = None
-        if self._mixed:
-            self._setup_mixed()
-        elif self.kernel == "tiled":
+        if self.kernel == "tiled":
             self._tiled = kernels.TiledBatchedCoupling(
                 self.model.topology, self._edge_potential, self._vps, self._r)
         elif self.kernel == "cc":
@@ -267,75 +223,18 @@ class HeteroBatchedBackend:
         elif self.kernel == "numpy":
             self._setup_gather()
 
-    def _setup_mixed(self) -> None:
-        """Dispatch setup for a topology-axis (mixed edge-list) batch.
-
-        ``tiled`` gets the block-diagonal stacked kernel, the compiled
-        kernel falls back to one sub-backend per topology group, and
-        ``numpy`` the padded stacked gather/scatter of
-        :meth:`_setup_gather`.
-        """
-        if self.kernel == "tiled":
-            self._stacked = kernels.TiledStackedCoupling(
-                self._n, self._per_rows, self._per_cols, self._pots,
-                self._vps)
-            return
-        if self.kernel == "cc":
-            _warn_mixed_compiled(self.kernel)
-            groups: list[tuple[list[int], "RealizedModel"]] = []
-            for i, m in enumerate(self.members):
-                for idx, rep in groups:
-                    if same_topology(m.model.topology, rep.model.topology):
-                        idx.append(i)
-                        break
-                else:
-                    groups.append(([i], m))
-            self._subs = []
-            for idx, _ in groups:
-                # Topology-axis members arrive grouped (the planner
-                # sorts by global index with topology as the outer
-                # axis), so each group is usually a contiguous row
-                # range — a slice keeps theta[sel] a view instead of a
-                # fancy-index copy per RK4 stage.
-                sel = (slice(idx[0], idx[-1] + 1)
-                       if idx == list(range(idx[0], idx[-1] + 1))
-                       else np.asarray(idx, dtype=np.intp))
-                self._subs.append(
-                    (sel,
-                     HeteroBatchedBackend([self.members[i] for i in idx],
-                                          kernel=self.kernel,
-                                          threads=self._threads_request)))
-            return
-        self._setup_gather()
-
     def _setup_gather(self) -> None:
         """Flat gather/scatter indices for the numpy kernel.
 
         Member ``r``'s edge ``(i, j)`` reads the flattened ``(R*N,)``
         super-state at ``r*N + j`` and ``r*N + i`` and accumulates at
         ``r*N + i``, so one gather, one potential pass over ``(R, E)``
-        and one bincount serve the whole stack.  For a topology-axis
-        batch the per-member edge lists are padded to the widest member
-        ``Emax``; pad slots gather the member's own element 0 twice (a
-        guaranteed-finite ``d = 0``) and scatter into the discarded
-        overflow bin ``R*N``, so padding never touches a real
-        accumulator.
+        and one bincount serve the whole stack.
         """
-        emax = max(self._edge_sizes)
-        offsets = np.arange(self._r, dtype=np.intp) * self._n
-        grows = np.empty((self._r, emax), dtype=np.intp)
-        gcols = np.empty((self._r, emax), dtype=np.intp)
-        scat = np.full((self._r, emax), self._r * self._n, dtype=np.intp)
-        for r in range(self._r):
-            e = self._edge_sizes[r]
-            grows[r, :e] = offsets[r] + self._per_rows[r]
-            gcols[r, :e] = offsets[r] + self._per_cols[r]
-            grows[r, e:] = offsets[r]
-            gcols[r, e:] = offsets[r]
-            scat[r, :e] = offsets[r] + self._per_rows[r]
-        self._grows, self._gcols = grows, gcols
-        self._scatter = scat.ravel()
-        self._bins = self._r * self._n + (1 if self._mixed else 0)
+        offsets = np.arange(self._r, dtype=np.intp)[:, None] * self._n
+        self._grows = offsets + self._rows
+        self._gcols = offsets + self._cols
+        self._scatter = self._grows.ravel()
 
     def _stack_zeta(self) -> np.ndarray | None:
         """Stack member zeta realisations when they share a refresh grid."""
@@ -434,15 +333,6 @@ class HeteroBatchedBackend:
             return np.zeros((self._r, self._n))
 
         if not self.has_delays or history is None:
-            if self._subs is not None:
-                # Mixed topologies under a compiled kernel: one compiled
-                # sub-backend per topology group, rows scattered back.
-                out = np.empty((self._r, self._n))
-                for sel, sub in self._subs:
-                    out[sel] = sub.coupling(t, theta[sel], None)
-                return out
-            if self._stacked is not None:
-                return self._stacked(theta)
             if self._tiled is not None:
                 return self._tiled(theta)
             if self._rows32 is not None:
@@ -463,25 +353,23 @@ class HeteroBatchedBackend:
                     np.empty((self._r, self._n)), kinds, p0, p1,
                     self._vps_flat, threads=self._cc_threads)
             # One flat gather over the (R*N,) super-state, one
-            # family-vectorised potential pass over (R, E), one bincount
-            # (whose overflow bin swallows the pad slots of a mixed
-            # batch).  Per-row accumulation order equals the per-member
-            # edge order, whatever the stack.
+            # family-vectorised potential pass over (R, E), one bincount.
+            # Per-row accumulation order equals the member's edge order,
+            # whatever the stack.
             flat = theta.reshape(-1)
             d_edge = flat[self._gcols] - flat[self._grows]
             v_edge = self._edge_potential(d_edge)
             acc = np.bincount(self._scatter, weights=v_edge.ravel(),
-                              minlength=self._bins)
-            out = acc[:self._r * self._n].reshape(self._r, self._n)
+                              minlength=self._r * self._n)
+            out = acc.reshape(self._r, self._n)
             out *= self._vps
             return out
 
         # Delayed path: the history holds (R, N) super-states; each
-        # member patches its own edge subset per distinct delay level
-        # (per-member edge lists, so mixed topologies work unchanged).
+        # member patches its own edge subset per distinct delay level.
+        rows, cols = self._rows, self._cols
         out = np.empty((self._r, self._n))
         for r, m in enumerate(self.members):
-            rows, cols = self._per_rows[r], self._per_cols[r]
             th = theta[r]
             d_edge = th[cols] - th[rows]
             if m.has_delays:
@@ -519,13 +407,12 @@ class HeteroBatchedBackend:
         :func:`~repro.integrate.solve_rk4` / ``solve_euler`` over
         :meth:`make_ode_rhs`.  ``None`` when it cannot apply: a method
         other than rk4/euler, a kernel other than ``cc`` (including the
-        dense reference backend), a mixed-topology batch, interaction
-        delays, members on different noise grids, or a one-off delay
-        schedule.
+        dense reference backend), interaction delays, members on
+        different noise grids, or a one-off delay schedule.
         """
         if (method not in cc_kernels.STEPPER_METHODS or self.kernel != "cc"
-                or self._mixed or self._has_delays
-                or self._zeta_stack is None or not self._sched_empty):
+                or self._has_delays or self._zeta_stack is None
+                or not self._sched_empty):
             return None
         kinds, p0, p1 = self._coeffs
         return cc_kernels.FixedStepper(
@@ -564,5 +451,4 @@ class HeteroBatchedBackend:
         """Metadata dictionary used by exporters."""
         return {"backend": self.name, "n": self._n, "members": self._r,
                 "potential_groups": len(self._pot_groups),
-                "mixed_topologies": self._mixed,
                 "kernel": self.kernel, "threads": self.threads}

@@ -133,15 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "compatible groups; bounded shards enable "
                             "--jobs scaling, bit-for-bit for fixed-step "
                             "methods)")
-    run_p.add_argument("--fuse-topologies", dest="fuse_topologies",
-                       action="store_true", default=None,
-                       help="merge same-N topology groups into one stacked "
-                            "shard (default: automatic for fixed-step "
-                            "methods, where the merge is bit-for-bit "
-                            "identical to per-group shards)")
-    run_p.add_argument("--no-fuse-topologies", dest="fuse_topologies",
-                       action="store_false",
-                       help="keep one shard per topology value")
     run_p.add_argument("--threads", type=int, default=None,
                        help="in-kernel thread count per shard solve "
                             "(default: POM_NUM_THREADS, else 1; workers "
@@ -282,14 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "result cache")
     plan_p.add_argument("--shard-members", type=int, default=None,
                         help="max members per shard")
-    plan_p.add_argument("--fuse-topologies", dest="fuse_topologies",
-                        action="store_true", default=None,
-                        help="merge same-N topology groups into one "
-                             "stacked shard (default: automatic for "
-                             "fixed-step methods)")
-    plan_p.add_argument("--no-fuse-topologies", dest="fuse_topologies",
-                        action="store_false",
-                        help="keep one shard per topology value")
     plan_p.add_argument("--quick", action="store_true",
                         help="reduced-size configuration for registry "
                              "specs")
@@ -422,9 +405,7 @@ def _run_spec_file(args: argparse.Namespace) -> int:
             d["trajectories"] = args.trajectories
         spec = ScenarioSpec.from_dict(d)
     spec.validate()
-    plan = compile_plan(spec, shard_members=args.shard_members,
-                        fuse_topologies=getattr(args, "fuse_topologies",
-                                                None))
+    plan = compile_plan(spec, shard_members=args.shard_members)
     print(f"[{spec.name}] {plan.n_members} members in {plan.n_shards} "
           f"shard(s), spec {spec.content_hash()[:16]}")
     if args.queue:
@@ -468,12 +449,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     import inspect
 
     if _looks_like_spec_file(args.experiment) or args.queue \
-            or args.metrics is not None or args.trajectories is not None \
-            or args.fuse_topologies is not None:
+            or args.metrics is not None or args.trajectories is not None:
         # --queue routes registry experiments through their declarative
         # spec (required for durable execution); _resolve_spec rejects
-        # entries that have none.  --metrics/--trajectories/
-        # --fuse-topologies likewise only exist on the spec path.
+        # entries that have none.  --metrics/--trajectories likewise
+        # only exist on the spec path.
         return _run_spec_file(args)
 
     exp = get_experiment(args.experiment)
@@ -694,8 +674,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
     spec = _resolve_spec(args.spec, quick=args.quick)
     spec.validate()
-    plan = compile_plan(spec, shard_members=args.shard_members,
-                        fuse_topologies=args.fuse_topologies)
+    plan = compile_plan(spec, shard_members=args.shard_members)
     cache = ResultCache(args.cache) if args.cache else None
     info = plan.describe(cache)
     print(f"[{info['name']}] spec {info['spec_hash']}: "
@@ -704,10 +683,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         state = ""
         if "cached" in row:
             state = "  [cached]" if row["cached"] else "  [pending]"
-        topo = (f"topologies={row['topologies']}  "
-                if row.get("topologies", 1) > 1 else "")
         print(f"  shard {row['shard']:>3}  members={row['members']:<4} "
-              f"{topo}method={row['method']}  t_end={row['t_end']:g}  "
+              f"method={row['method']}  t_end={row['t_end']:g}  "
               f"key={row['key']}{state}")
     if cache is not None:
         c = info["cache"]

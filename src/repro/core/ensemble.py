@@ -179,7 +179,8 @@ def grid_sweep(param_grid: Mapping[str, Sequence],
       :class:`~repro.core.trajectory.OscillatorTrajectory` objects.
       With ``batched=True`` all grid points are stacked into a single
       ``(R, N)`` super-state and integrated in *one* solver pass
-      (:func:`repro.core.simulation.simulate_grid`) — typically several
+      (:func:`repro.core.simulation.simulate_grid`, so the points must
+      share N and the topology) — typically several
       times faster than the point-by-point loop; with ``batched=False``
       each point runs through :func:`simulate` individually (same seeds
       and fixed-step methods give machine-identical phases, so the two

@@ -421,11 +421,12 @@ def simulate_grid(
     """Integrate a parameter grid of models as one ``(R, N)`` super-state.
 
     The heterogeneous counterpart of :func:`simulate_batched`: the
-    models may differ in coupling strength, period, potential, noise,
-    one-off delay schedule — and even **topology** (a machine-design
-    sweep over same-N candidate networks runs through the backend's
-    padded stacked edge-list path, bit-identical to grouping by
-    topology) — only the oscillator count N must be shared.  All grid
+    models may differ in coupling strength, period, potential, noise
+    and one-off delay schedule — only the oscillator count N and the
+    topology must be shared (a mixed-topology grid raises
+    ``ValueError``; run a machine-design sweep over candidate networks
+    through :func:`repro.runs.run_spec`, which plans one stacked shard
+    per topology value).  All grid
     points are compiled into a single
     :class:`~repro.backends.HeteroBatchedBackend` and integrated in one
     solver pass; per-point trajectories are fanned back out, each

@@ -52,7 +52,6 @@ from .coeffs import (
 from .tiled import (
     TiledBatchedCoupling,
     TiledSingleCoupling,
-    TiledStackedCoupling,
     TilePlan,
 )
 
@@ -78,7 +77,6 @@ __all__ = [
     "TilePlan",
     "TiledSingleCoupling",
     "TiledBatchedCoupling",
-    "TiledStackedCoupling",
 ]
 
 #: names accepted by the ``kernel=`` knobs

@@ -1207,7 +1207,6 @@ def run_plan_queue(plan: Plan, queue_path: str | Path, *,
 def run_spec(spec: ScenarioSpec, *,
              jobs: int = 1,
              shard_members: int | None = None,
-             fuse_topologies: bool | None = None,
              cache: ResultCache | str | Path | None = None,
              resume: bool = True,
              threads: int | None = None,
@@ -1217,16 +1216,12 @@ def run_spec(spec: ScenarioSpec, *,
              **queue_kwargs) -> RunResult:
     """Compile and execute a scenario in one call (the common entry).
 
-    ``fuse_topologies`` is forwarded to
-    :func:`~repro.runs.plan.compile_plan` (default ``None``: merge
-    same-N topology groups for the fixed-step methods, bit-identical to
-    per-group shards).  With ``queue=`` the campaign runs through the
-    durable work queue (:func:`run_plan_queue`, which accepts the extra
-    ``queue_kwargs`` like ``lease_ttl`` / ``max_attempts``); otherwise
-    in-process via :func:`run_plan`.
+    With ``queue=`` the campaign runs through the durable work queue
+    (:func:`run_plan_queue`, which accepts the extra ``queue_kwargs``
+    like ``lease_ttl`` / ``max_attempts``); otherwise in-process via
+    :func:`run_plan`.
     """
-    plan = compile_plan(spec, shard_members=shard_members,
-                        fuse_topologies=fuse_topologies)
+    plan = compile_plan(spec, shard_members=shard_members)
     if queue is not None:
         return run_plan_queue(plan, queue, jobs=jobs, cache=cache,
                               resume=resume, threads=threads,

@@ -3,22 +3,12 @@
 The planner turns the flat member list of a spec into **shards** — the
 units the executor runs and the cache stores.  Members are *fused* into
 one shard (a single stacked :func:`~repro.core.simulate_grid` solve
-through the heterogeneous batched backend) whenever they are
-hash-compatible:
-
-* identical topology dict, or — for the fixed-step methods — any mix of
-  topologies that agree on the rank count ``N`` (the heterogeneous
-  backend runs mixed edge lists through a padded stacked path that is
-  bit-identical to solving each topology group separately), so a
-  **topology axis over same-N machine designs fuses into one shard**;
-  ``fuse_topologies=False`` restores one shard per topology value, and
-  adaptive (``dopri``) campaigns always group per topology because
-  shard members share one adaptive mesh;
-* identical horizon ``t_end`` (one shared time mesh per solve) and, for
-  merged topology groups, identical resolved solver settings —
-  including the plan-time ``dt``, so a topology sweep only fuses under
-  an explicit ``solver["dt"]`` (the per-group default dt depends on
-  kappa and therefore on the topology).
+through the heterogeneous batched backend) when they share the
+topology dict and the horizon ``t_end``: the stacked backend needs one
+edge set, and a solve has one time mesh.  A topology axis (a
+machine-design sweep over candidate networks) therefore plans one
+shard per topology value, and every shard runs the same-topology
+stacked path — the compiled stepper for rk4/euler on the ``cc`` kernel.
 
 Everything else — coupling strength, period, potential parameters,
 noise, seeds, one-off delays, initial conditions — batches freely.
@@ -26,6 +16,8 @@ noise, seeds, one-off delays, initial conditions — batches freely.
 The fixed step ``dt`` is resolved *at plan time* (the spec's value, or
 the smallest :func:`~repro.core.simulation.default_dt` over the fused
 group), so how a group is later chunked can never change the step.
+Without an explicit ``solver["dt"]`` each topology group keeps its own
+kappa-dependent default.
 
 Chunking (``shard_members=``) splits fused groups into bounded shards
 so the multiprocess executor has units to spread: for the fixed-step
@@ -61,19 +53,6 @@ _TRAJ_WARN_DEFAULT = 128 * 1024 * 1024
 #: spec hashes already warned about (the warning is one-time per spec
 #: per process — a campaign is typically compiled more than once)
 _footprint_warned: set[str] = set()
-
-
-def _topology_n(topo: dict) -> int:
-    """Oscillator count from a topology spec dict, without building it.
-
-    Delegates to the builder registry
-    (:func:`repro.core.topology.topology_n_from_spec`), which derives
-    ``N`` from structural params (``2**dim`` for hypercubes,
-    ``k**2 + (k//2)**2`` for fat-trees, ...) and **raises** on unknown
-    kinds or missing params — a silent misestimate here would skew
-    footprint warnings and break topology-fusion grouping.
-    """
-    return topology_n_from_spec(topo)
 
 
 def _warn_footprint(spec: ScenarioSpec, est_bytes: float) -> None:
@@ -164,9 +143,6 @@ class Plan:
             row = {
                 "shard": s.index,
                 "members": s.n_members,
-                "topologies": len({
-                    json.dumps(m["model"]["topology"], sort_keys=True)
-                    for m in s.payload["members"]}),
                 "t_end": s.payload["t_end"],
                 "method": s.payload["solver"]["method"],
                 "key": s.key[:16],
@@ -191,8 +167,8 @@ def _chunks(seq: list, size: int | None) -> list[list]:
     return [seq[i:i + size] for i in range(0, len(seq), size)]
 
 
-def compile_plan(spec: ScenarioSpec, *, shard_members: int | None = None,
-                 fuse_topologies: bool | None = None) -> Plan:
+def compile_plan(spec: ScenarioSpec, *,
+                 shard_members: int | None = None) -> Plan:
     """Compile a scenario into its deterministic shard decomposition.
 
     Parameters
@@ -203,34 +179,16 @@ def compile_plan(spec: ScenarioSpec, *, shard_members: int | None = None,
         Upper bound on members per shard (see the module docstring for
         the bit-for-bit implications); ``None`` keeps each fused group
         as one shard.
-    fuse_topologies:
-        Whether topology groups that agree on rank count, horizon, and
-        resolved solver settings merge into one stacked shard.
-        ``None`` (default) fuses exactly for the fixed-step methods,
-        where member rows are arithmetically independent and the merge
-        is bit-for-bit identical to per-group shards.  ``True`` with an
-        adaptive method raises (shard members share one adaptive mesh,
-        so merging would change results); ``False`` restores the
-        one-shard-per-topology layout.
 
-    The decomposition is a pure function of ``(spec, shard_members,
-    fuse_topologies)`` — never of the worker count — which is what makes
-    ``jobs=1`` and ``jobs=8`` executions of the same plan bit-for-bit
-    identical.
+    The decomposition is a pure function of ``(spec, shard_members)`` —
+    never of the worker count — which is what makes ``jobs=1`` and
+    ``jobs=8`` executions of the same plan bit-for-bit identical.
     """
     if shard_members is not None and shard_members < 1:
         raise ValueError("shard_members must be positive")
     members = spec.members()
     solver = spec.solver
     method = solver.get("method", "dopri")
-    if fuse_topologies is None:
-        fuse_topologies = method in FIXED_STEP_METHODS
-    elif fuse_topologies and method not in FIXED_STEP_METHODS:
-        raise ValueError(
-            "fuse_topologies=True requires a fixed-step method "
-            f"({'/'.join(FIXED_STEP_METHODS)}); {method!r} members share "
-            "one adaptive mesh per shard, so merging topology groups "
-            "would change results")
 
     # Stage 1: fuse hash-compatible members (identical topology dict and
     # t_end), preserving first-seen group order.
@@ -240,9 +198,10 @@ def compile_plan(spec: ScenarioSpec, *, shard_members: int | None = None,
                           separators=(",", ":"))
         groups.setdefault(gkey, []).append(m)
 
-    # Stage 2: resolve the solver per group (dt over the fused group).
+    # Stage 2: resolve the solver per group (dt over the fused group)
+    # and cut the group into shards.
     est_traj_bytes = 0.0
-    resolved_groups: list[tuple[list[MemberSpec], dict]] = []
+    shards: list[Shard] = []
     for group in groups.values():
         dt = solver.get("dt")
         if dt is None:
@@ -267,33 +226,8 @@ def compile_plan(spec: ScenarioSpec, *, shard_members: int | None = None,
             resolved["chunked_adaptive"] = True
         if spec.trajectories == "full":
             n_t = group[0].t_end / float(dt) + 1.0
-            n_osc = _topology_n(group[0].model["topology"])
+            n_osc = topology_n_from_spec(group[0].model["topology"])
             est_traj_bytes += len(group) * n_t * n_osc * 8.0
-        resolved_groups.append((group, resolved))
-
-    # Stage 3: merge topology groups that agree on (N, t_end, resolved
-    # solver) into one stacked shard.  Only reached for fixed-step
-    # methods, where member rows are arithmetically independent: the
-    # merged solve is bit-identical to the per-group solves, and the
-    # members are re-sorted by global index so the merge order never
-    # depends on axis order.  Note dt sits inside the merge key — a
-    # topology axis without an explicit solver dt resolves per-group
-    # dts from kappa and (correctly) stays unfused.
-    if fuse_topologies:
-        merged: dict[str, tuple[list[MemberSpec], dict]] = {}
-        for group, resolved in resolved_groups:
-            mkey = json.dumps(
-                [_topology_n(group[0].model["topology"]), group[0].t_end,
-                 resolved], sort_keys=True, separators=(",", ":"))
-            if mkey in merged:
-                merged[mkey][0].extend(group)
-            else:
-                merged[mkey] = (list(group), resolved)
-        resolved_groups = [(sorted(g, key=lambda m: m.index), r)
-                           for g, r in merged.values()]
-
-    shards: list[Shard] = []
-    for group, resolved in resolved_groups:
         for chunk in _chunks(group, shard_members):
             payload = {
                 "members": [m.to_dict() for m in chunk],

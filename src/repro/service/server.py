@@ -30,7 +30,8 @@ of a checkout-and-run:
 
 Errors are always JSON bodies (``{"error": ...}``) with proper status
 codes: 400 for malformed specs/bodies, 404 for unknown campaigns, 409
-for results requested before the campaign finished.
+for results requested before the campaign finished, 413 for a request
+body declared larger than :data:`MAX_BODY_BYTES` (refused unread).
 
 State is three on-disk siblings of the queue file — the queue database
 itself, the shard result cache, and the campaign artifact store — so
@@ -74,6 +75,10 @@ __all__ = ["ApiError", "CampaignServer", "CampaignService", "MetricsLog",
 RESULT_FORMATS = ("npz", "csv")
 
 _CONTENT_TYPES = {"npz": "application/octet-stream", "csv": "text/csv"}
+
+#: largest request body accepted; a spec is kilobytes, so a larger
+#: declared ``Content-Length`` gets a 413 without the body being read
+MAX_BODY_BYTES = 1 << 20
 
 
 class ApiError(Exception):
@@ -452,6 +457,9 @@ class _Handler(BaseHTTPRequestHandler):
             length = 0
         if length <= 0:
             raise ApiError(400, "missing JSON request body")
+        if length > MAX_BODY_BYTES:
+            raise ApiError(413, f"request body of {length} bytes exceeds "
+                                f"the {MAX_BODY_BYTES}-byte limit")
         raw = self.rfile.read(length)
         try:
             return json.loads(raw)

@@ -173,17 +173,14 @@ class TestHeteroValidation:
         with pytest.raises(ValueError, match="disagree on N"):
             HeteroBatchedBackend([a, b])
 
-    def test_mixed_same_n_topologies_accepted(self):
-        # Same-N mixed topologies are a supported machine-design batch
-        # (topology-axis fusion), on both backends.
+    def test_mixed_same_n_topologies_rejected(self):
+        # A stack shares one edge set on both backends; a same-N
+        # topology axis is planned as one shard per topology instead.
         a = make_model(topology=ring(8, (1, -1))).realize(5.0, rng=0)
         b = make_model(topology=chain(8, (1, -1))).realize(5.0, rng=0)
-        backend = HeteroBatchedBackend([a, b], kernel="numpy")
-        assert backend.describe()["mixed_topologies"]
-        thetas = np.random.default_rng(1).normal(0.0, 1.0, (2, 8))
-        np.testing.assert_allclose(
-            backend.coupling(0.0, thetas),
-            DenseBackend([a, b]).coupling(0.0, thetas), **TIGHT)
+        for backend in (HeteroBatchedBackend, DenseBackend):
+            with pytest.raises(ValueError, match="disagree on topology"):
+                backend([a, b])
 
     def test_hetero_accepts_what_batched_rejects(self):
         # Members of different models (a v_p grid, not a seed ensemble)
@@ -209,7 +206,10 @@ class TestBatchedBackendFactory:
         dense = make_model(topology=all_to_all(8)).realize(5.0, rng=0)
         sparse = make_model(topology=ring(8, (1,))).realize(5.0, rng=0)
         assert make_batched_backend([dense, dense]).name == "dense"
-        assert make_batched_backend([dense, sparse]).name == "sparse"
+        assert make_batched_backend([sparse, sparse]).name == "sparse"
+        # a stack shares one topology, so a mixed one is rejected
+        with pytest.raises(ValueError, match="disagree on topology"):
+            make_batched_backend([dense, sparse])
         # an explicit kernel or thread count asks for the edge-list path
         assert make_batched_backend([dense], kernel="numpy").name == "sparse"
         assert make_batched_backend([dense], threads=1).name == "sparse"

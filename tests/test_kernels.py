@@ -363,10 +363,10 @@ class TestEdgeBackedTopology:
                                     t_comp=0.9, t_comm=0.1).realize(1.0, rng=0)
             for t in (small, other)
         ]
-        # Same-N mixed topologies now batch as a topology-axis group
-        # (still comparing edge lists, never densifying).
-        assert HeteroBatchedBackend(
-            mixed, kernel="numpy").describe()["mixed_topologies"]
+        # Same-N mixed topologies are rejected by comparing edge lists,
+        # never by densifying.
+        with pytest.raises(ValueError, match="disagree on topology"):
+            HeteroBatchedBackend(mixed, kernel="numpy")
 
     def test_large_n_rhs_evaluates(self):
         topo = ring_edges(50_000, (1, -1))

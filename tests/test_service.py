@@ -5,10 +5,12 @@ ephemeral port and talks to it over actual HTTP — the same stack CI's
 service-smoke leg exercises against the installed CLI.
 """
 
+import http.client
 import io
 import json
 import threading
 import urllib.request
+from urllib.parse import urlparse
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from repro.cli import main
 from repro.runs import ScenarioSpec, WorkQueue, compile_plan, run_spec
 from repro.runs.queue import default_queue_sibling
 from repro.service import CampaignServer, ServiceClient, ServiceError
+from repro.service.server import MAX_BODY_BYTES
 from repro.viz.export import csv_text, read_csv, write_csv
 
 SPEC_DICT = {
@@ -175,6 +178,22 @@ class TestErrors:
             ServiceClient(server.url).submit(scenario="fig77")
         assert excinfo.value.status == 400
         assert "unknown experiment" in str(excinfo.value)
+
+    def test_oversized_body_413_without_reading_it(self, idle_server):
+        # The declared body is never sent: a server that tried to read
+        # it would block until the client timeout instead of answering.
+        host, port = urlparse(idle_server.url).netloc.split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            conn.putrequest("POST", "/v1/campaigns")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            conn.endheaders()
+            resp = conn.getresponse()
+            assert resp.status == 413
+            assert "exceeds" in json.loads(resp.read())["error"]
+        finally:
+            conn.close()
 
     def test_unknown_campaign_404(self, server):
         with pytest.raises(ServiceError) as excinfo:

@@ -9,8 +9,6 @@ specialisation, noise shape, thread count, retention mode and chunk
 layout; and ``make_stepper`` must decline every stack it cannot serve.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,14 +183,12 @@ class TestDeclines:
                                  "dense")
         assert b.make_stepper("rk4") is None
 
-    def test_mixed_topologies(self):
+    def test_mixed_topology_stack_is_rejected(self):
+        # Never reaches the stepper: the stack itself is rejected.
         members = [self._model().realize(5.0, rng=0),
                    self._model(topology=torus2d(4, 4)).realize(5.0, rng=0)]
-        with warnings.catch_warnings():
-            # the one-time mixed-topology fallback note
-            warnings.simplefilter("ignore", RuntimeWarning)
-            b = make_batched_backend(members, "sparse", kernel="cc")
-        assert b.make_stepper("rk4") is None
+        with pytest.raises(ValueError, match="disagree on topology"):
+            make_batched_backend(members, "sparse", kernel="cc")
 
     def test_interaction_delays(self):
         from repro.core.noise import ConstantInteractionNoise

@@ -1,17 +1,24 @@
-"""Topology-axis batching: planner fusion + mixed-topology bit-identity.
+"""Topology axes: one stacked shard per topology value.
 
-PR 10's tentpole claim: a machine-design sweep (one axis ranging over
-same-N candidate interconnects) fuses into one stacked solve that is
-**bit-for-bit identical** to the per-topology-group shards — across
-kernels, worker counts, and the fault-injected queue path.
+A machine-design sweep (one axis ranging over candidate interconnects)
+plans one shard per topology value.  Each shard is a same-topology
+stacked solve — the compiled stepper for rk4 where ``cc`` is available —
+and its bits are independent of the shard layout, the worker count and
+the fault-injected queue path.  A stacked solve over mixed topologies
+is rejected.
 """
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from repro import kernels
-from repro.backends.hetero import HeteroBatchedBackend
+from repro.core import grid_sweep, simulate_grid
 from repro.runs import ScenarioSpec, compile_plan, run_plan, run_spec
+from repro.runs.cache import shard_key
+from repro.runs.spec import MemberSpec
 
 needs_cc = pytest.mark.skipif(not kernels.cc_available(),
                               reason="no C compiler")
@@ -51,58 +58,56 @@ def topo_axis_spec(*, method="rk4", dt=0.05, t_end=12.0, seeds=(0, 1),
     )
 
 
-class TestPlannerFusion:
-    def test_same_n_fixed_step_fuses_into_one_shard(self):
-        plan = compile_plan(topo_axis_spec())
-        assert plan.n_shards == 1
-        assert plan.shards[0].n_members == 8
-        assert plan.shards[0].member_indices == list(range(8))
-        row = plan.describe()["shards"][0]
-        assert row["topologies"] == 4
+def _payload_digest(payload: dict) -> str:
+    return hashlib.sha256(json.dumps(
+        payload, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
-    def test_opt_out_restores_per_group_shards(self):
-        plan = compile_plan(topo_axis_spec(), fuse_topologies=False)
-        assert plan.n_shards == 4
-        for row in plan.describe()["shards"]:
-            assert row["topologies"] == 1
+
+def _assert_one_shard_per_topology(plan):
+    assert plan.n_shards == 4
+    for shard, topo in zip(plan.shards, TOPOLOGIES_N16):
+        assert [m["model"]["topology"] for m in shard.payload["members"]] \
+            == [topo, topo]
+    assert [s.member_indices for s in plan.shards] == \
+        [[0, 1], [2, 3], [4, 5], [6, 7]]
+
+
+class TestPlannerFusion:
+    def test_fixed_step_plans_one_shard_per_topology(self):
+        plan = compile_plan(topo_axis_spec())
+        _assert_one_shard_per_topology(plan)
+        assert "topologies" not in plan.describe()["shards"][0]
 
     def test_adaptive_defaults_to_per_group(self):
-        plan = compile_plan(topo_axis_spec(method="dopri", dt=None))
-        assert plan.n_shards == 4
-
-    def test_adaptive_fuse_opt_in_raises(self):
-        with pytest.raises(ValueError, match="fixed-step"):
-            compile_plan(topo_axis_spec(method="dopri", dt=None),
-                         fuse_topologies=True)
+        _assert_one_shard_per_topology(
+            compile_plan(topo_axis_spec(method="dopri", dt=None)))
 
     def test_no_explicit_dt_stays_per_group(self):
         # Without solver["dt"] each topology group resolves its own
-        # kappa-dependent default dt; dt sits inside the merge key, so
-        # the groups (correctly) refuse to fuse.
+        # kappa-dependent default dt.
         plan = compile_plan(topo_axis_spec(dt=None))
-        assert plan.n_shards > 1
+        assert plan.n_shards == 4
         dts = {s.payload["solver"]["dt"] for s in plan.shards}
         assert len(dts) > 1
 
     def test_mixed_n_never_merges(self):
         spec = topo_axis_spec(topologies=[
             {"kind": "ring", "n": 8, "distances": [1, -1]},
-            {"kind": "hypercube", "dim": 3},   # N = 8 — merges with ring
+            {"kind": "hypercube", "dim": 3},   # N = 8, still its own shard
             {"kind": "ring", "n": 12, "distances": [1, -1]},
         ])
         plan = compile_plan(spec)
-        assert plan.n_shards == 2
-        sizes = sorted(s.n_members for s in plan.shards)
-        assert sizes == [2, 4]
+        assert [s.n_members for s in plan.shards] == [2, 2, 2]
 
     def test_single_topology_plan_is_unchanged(self):
-        # No topology axis -> stage 3 is a no-op: payloads and cache
-        # keys must be identical with fusion on, off, or auto (no cache
-        # churn for every pre-existing campaign).
+        # A campaign without a topology axis must keep its payload byte
+        # for byte across planner changes, so its cache keys move only
+        # with the numerics fingerprint.
         spec = topo_axis_spec(topologies=[TOPOLOGIES_N16[0]])
-        keys = [tuple(s.key for s in compile_plan(spec, fuse_topologies=f)
-                      .shards) for f in (None, False, True)]
-        assert keys[0] == keys[1] == keys[2]
+        (shard,) = compile_plan(spec).shards
+        assert _payload_digest(shard.payload) == (
+            "16ff46fd86b6d752ef05a2e7791ec568440f5aebe1c39f8094d9ede06ce7be0a")
+        assert shard.key == shard_key(shard.payload)
 
 
 def _members_equal(a, b):
@@ -115,20 +120,14 @@ def _members_equal(a, b):
 
 
 class TestFusedBitIdentity:
-    def test_fused_equals_per_group(self):
-        spec = topo_axis_spec()
-        fused = run_spec(spec)
-        grouped = run_spec(spec, fuse_topologies=False)
-        _members_equal(fused, grouped)
-        assert fused.npz_bytes() == grouped.npz_bytes()
+    """Per-topology shards give the same bits under any execution."""
 
     def test_jobs_do_not_change_bits(self):
         spec = topo_axis_spec()
-        fused = run_spec(spec, jobs=1)
-        multi = run_spec(spec, jobs=2, shard_members=4)
-        grouped = run_spec(spec, jobs=2, fuse_topologies=False)
-        assert fused.npz_bytes() == multi.npz_bytes()
-        assert fused.npz_bytes() == grouped.npz_bytes()
+        ref = run_spec(spec, jobs=1)
+        for kw in ({"jobs": 2, "shard_members": 4},
+                   {"jobs": 2, "shard_members": 1}):
+            assert run_spec(spec, **kw).npz_bytes() == ref.npz_bytes(), kw
 
     def test_queue_with_faults_matches_inline(self, tmp_path, monkeypatch):
         spec = topo_axis_spec(name="machine-design-chaos")
@@ -139,89 +138,49 @@ class TestFusedBitIdentity:
                        lease_ttl=1.0, backoff=0.05)
         monkeypatch.delenv("POM_FAULTS")
         monkeypatch.delenv("POM_FAULTS_STATE")
-        ref = run_spec(spec, jobs=1, fuse_topologies=False)
+        ref = run_spec(spec, jobs=1)
         assert res.queue["retried"].get(1, 0) >= 1
         _members_equal(ref, res)
 
     def test_full_trajectories_identical(self):
-        spec = topo_axis_spec(trajectories="full", metrics=(),
-                              t_end=6.0, seeds=(0,))
-        fused = run_plan(compile_plan(spec))
-        grouped = run_plan(compile_plan(spec, fuse_topologies=False))
-        for a, b in zip(fused.members, grouped.members):
+        # Each stacked topology shard equals its members solved alone.
+        spec = topo_axis_spec(trajectories="full", metrics=(), t_end=6.0)
+        stacked = run_plan(compile_plan(spec))
+        alone = run_plan(compile_plan(spec, shard_members=1))
+        for a, b in zip(stacked.members, alone.members):
             np.testing.assert_array_equal(a.ts, b.ts)
             np.testing.assert_array_equal(a.thetas, b.thetas)
 
-
-def _mixed_members(kernel=None, potentials=None):
-    """Realized members over the N=16 candidate set, one per topology."""
-    from repro.runs.spec import MemberSpec
-
-    members = []
-    for i, topo in enumerate(TOPOLOGIES_N16):
-        pot = (potentials[i % len(potentials)] if potentials
-               else {"kind": "bottleneck", "sigma": 1.5})
-        m = MemberSpec(index=i, model={
-            "topology": dict(topo), "potential": dict(pot),
-            "t_comp": 0.9, "t_comm": 0.1,
-        }, seed=i, t_end=10.0, initial=None, params={})
-        members.append(m.build_model().realize(10.0, rng=i))
-    return members
-
-
-class TestMixedBackendKernels:
-    @pytest.mark.parametrize("kernel", ["numpy", "tiled"])
-    def test_stacked_matches_per_member(self, kernel):
-        members = _mixed_members()
-        backend = HeteroBatchedBackend(members, kernel=kernel)
-        assert backend.describe()["mixed_topologies"]
-        rng = np.random.default_rng(3)
-        theta = rng.normal(0.0, 0.5, size=(len(members), 16))
-        out = backend.coupling(0.0, theta, None)
-        for r, m in enumerate(members):
-            single = HeteroBatchedBackend([m], kernel=kernel)
-            ref = single.coupling(0.0, theta[r][None, :], None)[0]
-            np.testing.assert_array_equal(out[r], ref,
-                                          err_msg=f"{kernel} row {r}")
-
-    def test_numpy_and_tiled_agree(self):
-        members = _mixed_members()
-        rng = np.random.default_rng(4)
-        theta = rng.normal(0.0, 0.5, size=(len(members), 16))
-        a = HeteroBatchedBackend(members, kernel="numpy").coupling(
-            0.0, theta, None)
-        b = HeteroBatchedBackend(members, kernel="tiled").coupling(
-            0.0, theta, None)
-        np.testing.assert_array_equal(a, b)
-
     @needs_cc
-    def test_compiled_falls_back_per_group_with_warning(self, monkeypatch):
-        from repro.backends import hetero
+    def test_each_topology_shard_runs_the_stepper(self):
+        for shard in compile_plan(topo_axis_spec(t_end=2.0)).shards:
+            members = [MemberSpec.from_dict(m)
+                       for m in shard.payload["members"]]
+            solver = shard.payload["solver"]
+            trajs = simulate_grid(
+                [m.build_model() for m in members], shard.payload["t_end"],
+                seeds=[m.seed for m in members], method=solver["method"],
+                dt=solver["dt"], record="none")
+            assert trajs[0].solution.backend["stepper"] is True
+            assert trajs[0].solution.backend["kernel"] == "cc"
 
-        monkeypatch.setattr(hetero, "_warned_mixed_compiled", False)
-        members = _mixed_members() + _mixed_members()  # repeated groups
-        with pytest.warns(RuntimeWarning, match="mixed-topology"):
-            backend = HeteroBatchedBackend(members, kernel="cc")
-        assert backend._subs is not None and len(backend._subs) == 4
-        rng = np.random.default_rng(5)
-        theta = rng.normal(0.0, 0.5, size=(len(members), 16))
-        out = backend.coupling(0.0, theta, None)
-        # Bit-identical to one compiled backend per topology group
-        # (the group selector is a slice for contiguous planner order,
-        # an index array otherwise — here the groups interleave).
-        for sel, _ in backend._subs:
-            idx = np.arange(len(members))[sel]
-            group = HeteroBatchedBackend([members[i] for i in idx],
-                                         kernel="cc")
-            ref = group.coupling(0.0, theta[idx], None)
-            np.testing.assert_array_equal(out[idx], ref)
 
-    def test_subset_of_mixed_batch(self):
-        members = _mixed_members()
-        backend = HeteroBatchedBackend(members, kernel="numpy")
-        sub = backend.subset([1, 3])
-        rng = np.random.default_rng(6)
-        theta = rng.normal(0.0, 0.5, size=(4, 16))
-        full = backend.coupling(0.0, theta, None)
-        part = sub.coupling(0.0, theta[[1, 3]], None)
-        np.testing.assert_array_equal(full[[1, 3]], part)
+def _same_n_models():
+    models = [m.build_model() for m in topo_axis_spec(seeds=(0,)).members()]
+    assert len({m.n for m in models}) == 1
+    return models
+
+
+class TestMixedTopologyGrid:
+    def test_simulate_grid_rejects_a_mixed_topology_grid(self):
+        models = _same_n_models()
+        with pytest.raises(ValueError, match="disagree on topology") as exc:
+            simulate_grid(models, 1.0, method="rk4", dt=0.05)
+        assert models[0].topology.name in str(exc.value)
+
+    def test_batched_grid_sweep_rejects_a_mixed_topology_grid(self):
+        models = _same_n_models()
+        with pytest.raises(ValueError, match="disagree on topology"):
+            grid_sweep({"i": list(range(len(models)))},
+                       model_factory=lambda i: models[i], batched=True,
+                       t_end=1.0, method="rk4", dt=0.05)
